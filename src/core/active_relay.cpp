@@ -221,7 +221,8 @@ void ActiveRelay::trace_pdu(Session& session, Direction dir,
 }
 
 void ActiveRelay::update_journal_gauge() {
-  scope_.gauge("journal_bytes").set(static_cast<std::int64_t>(journal_bytes()));
+  journal_bytes_gauge_.in(scope_).set(
+      static_cast<std::int64_t>(journal_bytes()));
 }
 
 // Re-evaluate one direction's ingress credit after any change to its
@@ -247,13 +248,13 @@ void ActiveRelay::update_backpressure(Session& session, Direction dir) {
     const std::size_t load = st.journal.complete_bytes() + st.queue_bytes;
     if (!st.paused && load >= flow_.high_watermark) {
       st.paused = true;
-      scope_.counter("bp_pauses").add();
+      bp_pauses_.in(scope_).add();
       telemetry().record_event(
           "relay " + vm_.name() + ": backpressure pause (" +
           std::to_string(load) + " bytes buffered)");
     } else if (st.paused && load <= flow_.low_watermark) {
       st.paused = false;
-      scope_.counter("bp_resumes").add();
+      bp_resumes_.in(scope_).add();
     }
     if (!st.paused && ingress != nullptr && st.uncredited > 0) {
       const std::size_t credit = st.uncredited;
@@ -268,10 +269,9 @@ void ActiveRelay::update_backpressure(Session& session, Direction dir) {
   const std::size_t buffered = queued + journal_bytes();
   if (buffered > peak_buffered_) {
     peak_buffered_ = buffered;
-    scope_.gauge("buffered_bytes_peak")
-        .set(static_cast<std::int64_t>(buffered));
+    buffered_peak_gauge_.in(scope_).set(static_cast<std::int64_t>(buffered));
   }
-  scope_.gauge("queue_bytes").set(static_cast<std::int64_t>(queued));
+  queue_bytes_gauge_.in(scope_).set(static_cast<std::int64_t>(queued));
 }
 
 void ActiveRelay::pump_queue(Session& session, Direction dir) {
@@ -293,7 +293,7 @@ void ActiveRelay::pump_queue(Session& session, Direction dir) {
                                  static_cast<double>(pdu.data.size()));
   // One user/kernel crossing in, one out: the payload is copied twice
   // through the relay (socket -> user parse buffer -> socket).
-  scope_.counter("copied_bytes").add(2 * pdu.data.size());
+  copied_bytes_.in(scope_).add(2 * pdu.data.size());
 
   const std::uint64_t epoch = session.epoch;
   auto continue_processing = [this, &session, dir, epoch, enqueued,
@@ -332,11 +332,11 @@ void ActiveRelay::pump_queue(Session& session, Direction dir) {
       if (!consume) {
         forward(session, dir, pdu);
         ++pdus_relayed_;
-        scope_.counter("pdus_relayed").add();
+        pdus_relayed_counter_.in(scope_).add();
       } else {
-        scope_.counter("pdus_consumed").add();
+        pdus_consumed_.in(scope_).add();
       }
-      scope_.histogram("pdu_ns").record(static_cast<std::int64_t>(
+      pdu_ns_.in(scope_).record(static_cast<std::int64_t>(
           vm_.node().executor().now() - enqueued));
       DirectionState& st3 = state(session, dir);
       st3.processing = false;

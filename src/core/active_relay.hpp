@@ -279,6 +279,16 @@ class ActiveRelay {
   RelayFlowControl flow_;
   std::size_t peak_buffered_ = 0;
   obs::Scope scope_;  // "relay.<mb-vm>."
+  // Per-PDU metrics of scope_, resolved on first use.
+  obs::GaugeHandle journal_bytes_gauge_{"journal_bytes"};
+  obs::GaugeHandle queue_bytes_gauge_{"queue_bytes"};
+  obs::GaugeHandle buffered_peak_gauge_{"buffered_bytes_peak"};
+  obs::CounterHandle bp_pauses_{"bp_pauses"};
+  obs::CounterHandle bp_resumes_{"bp_resumes"};
+  obs::CounterHandle copied_bytes_{"copied_bytes"};
+  obs::CounterHandle pdus_relayed_counter_{"pdus_relayed"};
+  obs::CounterHandle pdus_consumed_{"pdus_consumed"};
+  obs::HistogramHandle pdu_ns_{"pdu_ns"};
   journal::Device journal_dev_;  // shared log, one per relay VM
   std::vector<std::unique_ptr<Session>> sessions_;
   // Open per-command child spans ("relay.<mb-vm>"), keyed by the

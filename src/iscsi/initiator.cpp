@@ -96,7 +96,7 @@ void Initiator::read(std::uint64_t lba, std::uint32_t sectors,
   obs::SpanId span = begin_command_span("cmd.read", tag, bytes);
   pending_reads_[tag] = PendingRead{lba, {}, bytes, std::move(done), span};
   ++reads_;
-  node_.executor().telemetry().counter("iscsi.initiator.reads").add();
+  tel_reads_.in(node_.executor().telemetry()).add();
   update_outstanding();
   // While disconnected (recovery pending) the command just queues; the
   // re-login path re-issues everything outstanding.
@@ -134,7 +134,7 @@ void Initiator::write(std::uint64_t lba, Bytes data, WriteCallback done) {
   auto [it, inserted] = pending_writes_.emplace(
       tag, PendingWrite{lba, Buf(std::move(data)), std::move(done), span});
   ++writes_;
-  node_.executor().telemetry().counter("iscsi.initiator.writes").add();
+  tel_writes_.in(node_.executor().telemetry()).add();
   update_outstanding();
   if (logged_in_) {
     issue_write(tag, it->second);

@@ -15,6 +15,7 @@
 #include "iscsi/pdu.hpp"
 #include "net/tcp.hpp"
 #include "obs/metrics.hpp"
+#include "obs/registry.hpp"
 #include "obs/trace.hpp"
 
 namespace storm::iscsi {
@@ -201,6 +202,8 @@ class Initiator {
   std::uint64_t writes_ = 0;
   std::uint64_t recoveries_ = 0;
   obs::Gauge* tel_outstanding_ = nullptr;  // per-session, lazily resolved
+  obs::CounterHandle tel_reads_{"iscsi.initiator.reads"};
+  obs::CounterHandle tel_writes_{"iscsi.initiator.writes"};
 };
 
 }  // namespace storm::iscsi

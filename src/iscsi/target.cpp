@@ -25,17 +25,16 @@ void Target::trace_event(const Session& session, std::uint32_t tag,
 
 void Target::command_started(const Session& session, const Pdu& pdu) {
   obs::Registry& reg = node_.executor().telemetry();
-  reg.counter("iscsi.target.commands").add();
+  commands_counter_.in(reg).add();
   ++inflight_;
-  reg.gauge("iscsi.target.outstanding").set(
-      static_cast<std::int64_t>(inflight_));
+  outstanding_.in(reg).set(static_cast<std::int64_t>(inflight_));
   trace_event(session, pdu.task_tag, "target.cmd", pdu.transfer_length);
 }
 
 void Target::command_finished(const Session& session, std::uint32_t tag) {
   if (inflight_ > 0) --inflight_;
-  node_.executor().telemetry().gauge("iscsi.target.outstanding").set(
-      static_cast<std::int64_t>(inflight_));
+  outstanding_.in(node_.executor().telemetry())
+      .set(static_cast<std::int64_t>(inflight_));
   trace_event(session, tag, "target.rsp", 0);
 }
 

@@ -13,6 +13,7 @@
 #include "block/volume.hpp"
 #include "iscsi/pdu.hpp"
 #include "net/tcp.hpp"
+#include "obs/registry.hpp"
 
 namespace storm::iscsi {
 
@@ -79,6 +80,9 @@ class Target {
   std::vector<std::unique_ptr<Session>> sessions_;
   std::uint64_t commands_ = 0;
   std::uint64_t inflight_ = 0;  // commands received, response not yet sent
+  // Per-command metrics of the node's registry, resolved on first use.
+  obs::CounterHandle commands_counter_{"iscsi.target.commands"};
+  obs::GaugeHandle outstanding_{"iscsi.target.outstanding"};
 };
 
 }  // namespace storm::iscsi

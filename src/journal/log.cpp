@@ -87,8 +87,8 @@ std::uint64_t Device::append(StreamId stream, const BufChain& payload,
   st.torn_tail_bytes = boundary ? 0 : st.torn_tail_bytes + len;
   st.last_seq = seq;
 
-  scope_.counter("appends").add();
-  scope_.counter("append_bytes").add(len);
+  appends_.in(scope_).add();
+  append_bytes_.in(scope_).add(len);
   stage_commit(seq, frame, std::move(on_commit));
   update_gauges();
   return seq;
@@ -129,17 +129,16 @@ void Device::complete_flush(std::size_t batch_records) {
     PendingCommit& entry = pending_.front();
     committed_seq_ = entry.seq;
     batch_bytes += entry.frame_bytes;
-    scope_.histogram("commit_latency_ns")
-        .record(static_cast<std::int64_t>(now - entry.appended));
+    commit_latency_.in(scope_).record(
+        static_cast<std::int64_t>(now - entry.appended));
     if (entry.on_commit) callbacks.push_back(std::move(entry.on_commit));
     pending_.pop_front();
   }
-  scope_.counter("commits").add();
-  scope_.counter("committed_records").add(batch_records);
-  scope_.counter("committed_bytes").add(batch_bytes);
-  scope_.histogram("group_records")
-      .record(static_cast<std::int64_t>(batch_records));
-  scope_.histogram("group_bytes").record(static_cast<std::int64_t>(batch_bytes));
+  commits_.in(scope_).add();
+  committed_records_.in(scope_).add(batch_records);
+  committed_bytes_.in(scope_).add(batch_bytes);
+  group_records_.in(scope_).record(static_cast<std::int64_t>(batch_records));
+  group_bytes_.in(scope_).record(static_cast<std::int64_t>(batch_bytes));
   // Callbacks run after the bookkeeping: one may append again (and the
   // next flush must see a consistent pipeline).
   for (CommitFn& cb : callbacks) cb();
@@ -281,8 +280,9 @@ std::size_t Device::device_bytes() const {
 }
 
 void Device::update_gauges() {
-  scope_.gauge("device_bytes").set(static_cast<std::int64_t>(device_bytes()));
-  scope_.gauge("segments").set(static_cast<std::int64_t>(segments_.size()));
+  device_bytes_gauge_.in(scope_).set(
+      static_cast<std::int64_t>(device_bytes()));
+  segments_gauge_.in(scope_).set(static_cast<std::int64_t>(segments_.size()));
 }
 
 // -------------------------------------------------------- crash/recover

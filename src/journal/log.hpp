@@ -200,6 +200,17 @@ class Device {
 
   sim::Executor sim_;
   obs::Scope scope_;
+  // Per-record metrics of scope_, resolved on first use.
+  obs::CounterHandle appends_{"appends"};
+  obs::CounterHandle append_bytes_{"append_bytes"};
+  obs::CounterHandle commits_{"commits"};
+  obs::CounterHandle committed_records_{"committed_records"};
+  obs::CounterHandle committed_bytes_{"committed_bytes"};
+  obs::HistogramHandle commit_latency_{"commit_latency_ns"};
+  obs::HistogramHandle group_records_{"group_records"};
+  obs::HistogramHandle group_bytes_{"group_bytes"};
+  obs::GaugeHandle device_bytes_gauge_{"device_bytes"};
+  obs::GaugeHandle segments_gauge_{"segments"};
   Config config_;
 
   std::deque<SegmentState> segments_;

@@ -12,6 +12,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -113,6 +114,43 @@ class Registry {
   Tracer tracer_;
   FlightRecorder recorder_;
 };
+
+/// Hot-path handle to one named metric: resolved in a Scope (or Registry)
+/// on first use and cached — metric addresses are stable for the
+/// Registry's lifetime — so each update costs a branch instead of a name
+/// build plus map lookup. A handle that is never used creates nothing, so
+/// an owner that swaps per-call lookups for handles exports the same key
+/// set and byte-identical telemetry. The owner must always pass the same
+/// Scope/Registry (or reset() the handle when it re-binds).
+template <typename Metric>
+class MetricHandle {
+ public:
+  explicit MetricHandle(const char* name) : name_(name) {}
+
+  /// `source` is a Scope or a Registry.
+  template <typename Source>
+  Metric& in(Source&& source) {
+    if (metric_ == nullptr) {
+      if constexpr (std::is_same_v<Metric, Counter>) {
+        metric_ = &source.counter(name_);
+      } else if constexpr (std::is_same_v<Metric, Gauge>) {
+        metric_ = &source.gauge(name_);
+      } else {
+        metric_ = &source.histogram(name_);
+      }
+    }
+    return *metric_;
+  }
+  void reset() { metric_ = nullptr; }
+
+ private:
+  const char* name_;
+  Metric* metric_ = nullptr;
+};
+
+using CounterHandle = MetricHandle<Counter>;
+using GaugeHandle = MetricHandle<Gauge>;
+using HistogramHandle = MetricHandle<Histogram>;
 
 /// Correlation key for one SCSI command's trace, derivable at every
 /// PDU-aware layer: the flow's (preserved) TCP source port plus the

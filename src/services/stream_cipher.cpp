@@ -45,7 +45,7 @@ core::ServiceVerdict StreamCipherService::on_pdu(core::ServiceContext& ctx,
                                                  iscsi::Pdu& pdu) {
   core::ServiceVerdict verdict;
   auto cost_of = [this, &ctx](std::size_t bytes) {
-    ctx.scope().counter("stream_cipher.bytes_processed").add(bytes);
+    bytes_counter_.in(ctx.scope()).add(bytes);
     return static_cast<sim::Duration>(config_.ns_per_byte *
                                       static_cast<double>(bytes));
   };

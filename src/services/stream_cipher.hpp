@@ -29,6 +29,10 @@ class StreamCipherService : public core::StorageService {
   bool confidentiality_critical() const override { return true; }
   core::ServiceVerdict on_pdu(core::ServiceContext& ctx, core::Direction dir,
                               iscsi::Pdu& pdu) override;
+  // A new host means a new scope: drop the cached counter.
+  void bind_host(const core::ServiceHost& /*host*/) override {
+    bytes_counter_.reset();
+  }
 
   std::uint64_t bytes_processed() const { return processed_; }
 
@@ -40,6 +44,8 @@ class StreamCipherService : public core::StorageService {
   IoTracker tracker_;
   std::map<std::uint32_t, std::uint64_t> write_lbas_;
   std::uint64_t processed_ = 0;
+  // "stream_cipher.bytes_processed" in the hosting relay's scope.
+  obs::CounterHandle bytes_counter_{"stream_cipher.bytes_processed"};
 };
 
 }  // namespace storm::services

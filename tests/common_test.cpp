@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <vector>
+
 #include "common/bytes.hpp"
 #include "common/hash.hpp"
 #include "common/rng.hpp"
@@ -51,14 +55,101 @@ TEST(ByteReader, ThrowsOnTruncatedString) {
   EXPECT_THROW(r.str(), std::out_of_range);
 }
 
+// Bit-at-a-time CRC-32 straight from the definition (reflected IEEE
+// polynomial 0xEDB88320, init and final xor 0xFFFFFFFF): the reference
+// both the hardware-dispatched path and the slice-by-8 kernel must match.
+std::uint32_t crc32_bitwise(std::span<const std::uint8_t> data) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::uint8_t b : data) {
+    c ^= b;
+    for (int k = 0; k < 8; ++k) c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1)));
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+Bytes random_bytes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  Bytes data(n);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.next_u64());
+  return data;
+}
+
 TEST(Hash, Crc32KnownVector) {
   // CRC32("123456789") = 0xCBF43926 (classic check value).
   Bytes data = to_bytes("123456789");
   EXPECT_EQ(crc32(data), 0xCBF43926u);
+  EXPECT_EQ(detail::crc32_portable(data), 0xCBF43926u);
+  EXPECT_EQ(crc32_bitwise(data), 0xCBF43926u);
 }
 
 TEST(Hash, Crc32EmptyIsZero) {
   EXPECT_EQ(crc32(Bytes{}), 0x00000000u);
+  EXPECT_EQ(detail::crc32_portable(Bytes{}), 0x00000000u);
+}
+
+TEST(Hash, Crc32MatchesBitwiseReferenceAtEveryLength) {
+  // Every length through 1024 crosses each kernel hand-off: < 64 bytes
+  // (portable only), the 16-byte tails after the fold, and the 64-byte
+  // multi-lane loop. The larger sizes are an Ethernet MSS, a block, a
+  // PDU-sized span with an odd tail, and a 256 KiB burst.
+  Bytes data = random_bytes(262144, 11);
+  std::span<const std::uint8_t> all(data);
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 1024; ++n) lengths.push_back(n);
+  for (std::size_t n : {1460, 4096, 65536 + 13, 262144}) lengths.push_back(n);
+  for (std::size_t n : lengths) {
+    auto span = all.first(n);
+    std::uint32_t want = crc32_bitwise(span);
+    ASSERT_EQ(crc32(span), want) << "length " << n;
+    ASSERT_EQ(detail::crc32_portable(span), want) << "length " << n;
+  }
+}
+
+TEST(Hash, Crc32MatchesBitwiseReferenceAtEveryStartOffset) {
+  Bytes data = random_bytes(4096 + 64, 12);
+  std::span<const std::uint8_t> all(data);
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t n : {1, 15, 16, 63, 64, 65, 127, 128, 200, 1031, 4096}) {
+      auto span = all.subspan(offset, n);
+      std::uint32_t want = crc32_bitwise(span);
+      ASSERT_EQ(crc32(span), want) << "offset " << offset << " length " << n;
+      ASSERT_EQ(detail::crc32_portable(span), want)
+          << "offset " << offset << " length " << n;
+    }
+  }
+}
+
+TEST(Hash, Crc32IncrementalSplitsAcrossFoldBoundariesMatchOneShot) {
+  Bytes data = random_bytes(4096, 13);
+  std::span<const std::uint8_t> all(data);
+
+  // Two-piece splits at every point of a 300-byte span: the first piece
+  // ends on, just before and just after each 16- and 64-byte boundary.
+  auto head = all.first(300);
+  std::uint32_t want_head = crc32_bitwise(head);
+  for (std::size_t cut = 0; cut <= head.size(); ++cut) {
+    Crc32 state;
+    state.update(head.first(cut));
+    state.update(head.subspan(cut));
+    ASSERT_EQ(state.final(), want_head) << "cut " << cut;
+  }
+
+  // Many-piece splits at random points over the whole span.
+  std::uint32_t want = crc32(all);
+  ASSERT_EQ(want, crc32_bitwise(all));
+  Rng rng(14);
+  for (int trial = 0; trial < 200; ++trial) {
+    Crc32 state;
+    std::size_t pos = 0;
+    while (pos < all.size()) {
+      std::size_t max_piece = rng.chance(0.5) ? 80 : 700;
+      std::size_t len = std::min<std::size_t>(rng.between(0, max_piece),
+                                              all.size() - pos);
+      state.update(all.subspan(pos, len));
+      pos += len;
+    }
+    ASSERT_EQ(state.final(), want) << "trial " << trial;
+  }
 }
 
 TEST(Hash, Fnv1aKnownVector) {

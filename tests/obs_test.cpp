@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "obs/recorder.hpp"
 #include "obs/registry.hpp"
@@ -49,6 +50,38 @@ TEST(Registry, ScopePrefixesAndNullScopeDiscards) {
   null_scope.gauge("depth").set(9);
   null_scope.histogram("lat").record(1);
   EXPECT_EQ(reg.counter("pdus").value(), 0u);
+}
+
+TEST(Registry, MetricHandlesResolveOnFirstUseAndCreateNothingUntilThen) {
+  sim::Simulator sim;
+  Registry& reg = sim.telemetry();
+  Scope scope = reg.scope("relay.mb-1.");
+  const std::string before = reg.to_json();
+
+  // Declared but unused handles leave the export untouched, so swapping
+  // a per-call lookup for a handle cannot add a key.
+  CounterHandle pdus("pdus");
+  GaugeHandle depth("depth");
+  HistogramHandle lat("lat");
+  CounterHandle commands("iscsi.target.commands");
+  EXPECT_EQ(reg.to_json(), before);
+
+  pdus.in(scope).add(2);
+  pdus.in(scope).add(3);
+  depth.in(scope).set(7);
+  lat.in(scope).record(100);
+  commands.in(reg).add();
+  EXPECT_EQ(&pdus.in(scope), &reg.counter("relay.mb-1.pdus"));
+  EXPECT_EQ(reg.counter("relay.mb-1.pdus").value(), 5u);
+  EXPECT_EQ(reg.gauge("relay.mb-1.depth").value(), 7);
+  EXPECT_EQ(reg.histogram("relay.mb-1.lat").count(), 1u);
+  EXPECT_EQ(reg.counter("iscsi.target.commands").value(), 1u);
+
+  // reset() re-resolves against whatever scope is passed next.
+  pdus.reset();
+  pdus.in(reg.scope("relay.mb-2.")).add();
+  EXPECT_EQ(reg.counter("relay.mb-2.pdus").value(), 1u);
+  EXPECT_EQ(reg.counter("relay.mb-1.pdus").value(), 5u);
 }
 
 TEST(Histogram, HdrBucketsBoundRelativeError) {
