@@ -1,8 +1,9 @@
 // Real-time (wall-clock) microbenchmarks of the primitives on the StorM
 // data path, via google-benchmark: ciphers, digests, PDU and packet
-// codecs, NAT translation and flow-table matching. These measure this
-// host's actual throughput — the simulation's cost model constants
-// (ns/byte, per-PDU) can be sanity-checked against them.
+// codecs, NAT translation, flow-table matching and the simulator's event
+// queue. These measure this host's actual throughput — the simulation's
+// cost model constants (ns/byte, per-PDU) can be sanity-checked against
+// them.
 //
 // After the google-benchmark suite, a datapath copy-efficiency bench runs
 // the fig5 64 KiB sequential-write path (MB-ACTIVE-RELAY, stream cipher)
@@ -11,9 +12,12 @@
 // Pass --datapath-only to skip the google-benchmark suite (CI perf smoke).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <fstream>
+#include <functional>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "common/buf.hpp"
@@ -26,6 +30,7 @@
 #include "net/nat.hpp"
 #include "net/packet.hpp"
 #include "obs/registry.hpp"
+#include "sim/simulator.hpp"
 
 namespace {
 
@@ -183,6 +188,56 @@ void BM_BufSliceVsCopy(benchmark::State& state) {
                           1460);
 }
 BENCHMARK(BM_BufSliceVsCopy);
+
+// The simulator's event queue under TCP-style timer churn: a 1 us tick
+// cancels and re-arms each of N live timers 200 ms out, the way every ACK
+// restarts a retransmission timer. Items are queue operations (N cancels
+// plus N + 1 schedules and one fire per tick); heap_high_water is the
+// largest pending() seen, cancelled-but-queued keys included.
+void BM_EventQueueRtoChurn(benchmark::State& state) {
+  const auto timers = static_cast<std::size_t>(state.range(0));
+  sim::Simulator simulator;
+  std::vector<sim::CancelToken> tokens(timers);
+  std::size_t high_water = 0;
+  std::function<void()> tick = [&] {
+    for (sim::CancelToken& t : tokens) {
+      t.cancel();
+      t = simulator.schedule_in(sim::milliseconds(200), [] {});
+      high_water = std::max(high_water, simulator.pending());
+    }
+  };
+  for (auto _ : state) {
+    simulator.schedule_in(sim::microseconds(1), tick);
+    simulator.run_until(simulator.now() + sim::microseconds(1));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(2 * timers + 2));
+  state.counters["heap_high_water"] =
+      benchmark::Counter(static_cast<double>(high_water));
+}
+BENCHMARK(BM_EventQueueRtoChurn)->Arg(4)->Arg(64)->Arg(1024);
+
+// Plain schedule-then-run: a batch of never-cancelled events at spread
+// timestamps, drained by run(). Items are events.
+void BM_EventQueueFifo(benchmark::State& state) {
+  const auto batch = static_cast<std::size_t>(state.range(0));
+  sim::Simulator simulator;
+  std::size_t high_water = 0;
+  int fired = 0;
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < batch; ++i) {
+      simulator.schedule_in((i * 7919) % 1000, [&fired] { ++fired; });
+    }
+    high_water = std::max(high_water, simulator.pending());
+    simulator.run();
+  }
+  benchmark::DoNotOptimize(fired);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(batch));
+  state.counters["heap_high_water"] =
+      benchmark::Counter(static_cast<double>(high_water));
+}
+BENCHMARK(BM_EventQueueFifo)->Arg(64)->Arg(4096);
 
 // The fig5 64 KiB sequential-write path, end to end: tenant VM ->
 // gateway -> middle-box (active relay + stream cipher) -> gateway ->

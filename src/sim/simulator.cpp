@@ -9,8 +9,6 @@
 
 namespace storm::sim {
 
-thread_local Partition* Partition::s_current = nullptr;
-
 Partition::Partition(Simulator& owner, std::uint32_t id)
     : owner_(&owner), id_(id) {}
 
@@ -23,12 +21,46 @@ obs::Registry& Partition::telemetry() {
   return *telemetry_;
 }
 
+void Partition::compact() {
+  // Live keys slide to the front; dead slots are recycled only after the
+  // heap is whole again, because dropping a callback may run destructors
+  // that schedule or compact reentrantly.
+  std::vector<CancelSlot*> dead;
+  std::size_t live = 0;
+  for (const Key& key : heap_) {
+    const CancelSlot& slot = *key.slot;
+    if (slot.gen.load(std::memory_order_acquire) == slot.armed_gen) {
+      heap_[live++] = key;
+    } else {
+      dead.push_back(key.slot);
+    }
+  }
+  heap_.resize(live);
+  std::make_heap(heap_.begin(), heap_.end(), Later{});
+  compact_at_ = std::max(kMinCompactAt, 2 * live);
+  for (CancelSlot* slot : dead) recycle_slot(slot);
+}
+
+std::size_t Partition::fire_next() {
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  const Key key = heap_.back();
+  heap_.pop_back();
+  CancelSlot* slot = key.slot;
+  std::uint64_t expected = slot->armed_gen;
+  const bool live = slot->gen.compare_exchange_strong(
+      expected, expected + 1, std::memory_order_acq_rel);
+  if (live) {
+    now_ = key.when;
+    slot->fn();
+  }
+  recycle_slot(slot);
+  return live ? 1 : 0;
+}
+
 CancelToken Partition::send_to(Partition& dst, Time when, Callback fn) {
-  CancelSlot* slot = acquire_slot();
-  const std::uint64_t gen = slot->gen.load(std::memory_order_relaxed);
-  outbox_[dst.id_].push_back(
-      Mail{when, id_, mail_seq_++, std::move(fn), slot, gen});
-  return CancelToken(slot, gen);
+  CancelSlot* slot = arm_slot(std::move(fn));
+  outbox_[dst.id_].push_back(Mail{when, id_, mail_seq_++, slot});
+  return CancelToken(slot, slot->armed_gen);
 }
 
 void Partition::flush_outboxes() {
@@ -74,21 +106,14 @@ void Partition::drain_inbox() {
       owner_->lookahead_violations_.fetch_add(1, std::memory_order_relaxed);
       when = now_;
     }
-    enqueue(when, std::move(m.fn), m.slot, m.gen);
+    enqueue(when, m.slot);
   }
 }
 
 std::size_t Partition::run_window(Time limit) {
   ScopedCurrent guard(this);
   std::size_t count = 0;
-  while (!queue_.empty() && queue_.top().when <= limit) {
-    Event ev = pop_event();
-    if (!claim_fire(ev)) continue;  // cancelled: don't advance now_
-    now_ = ev.when;
-    ev.fn();
-    recycle_slot(ev.slot);
-    ++count;
-  }
+  while (!heap_.empty() && heap_.front().when <= limit) count += fire_next();
   // Advance to the window end — and no further. An idle partition moves
   // in lockstep with the global window so a cross-partition event landing
   // in a later window can never be in its past.
@@ -108,7 +133,10 @@ Simulator::Simulator(ParallelConfig config)
   for (std::uint32_t i = 0; i < n; ++i) {
     parts_.emplace_back(new Partition(*this, i));
   }
-  for (auto& p : parts_) p->outbox_.resize(n);
+  for (auto& p : parts_) {
+    p->outbox_.resize(n);
+    p->compact_on_push_ = n == 1;
+  }
   const std::uint32_t threads = config.threads == 0 ? n : config.threads;
   threads_ = std::min(threads, n);
   if (parts_.size() > 1 && threads_ > 1) {
@@ -127,6 +155,14 @@ Simulator::~Simulator() {
     }
     cv_work_.notify_all();
     for (std::thread& worker : workers_) worker.join();
+  }
+  // Drop every pending callback while all slots still exist: a captured
+  // object's destructor may cancel a token whose slot lives in another
+  // partition (~TcpConnection cancels its timers).
+  for (auto& p : parts_) {
+    for (std::size_t i = 0; i < p->slots_.size(); ++i) {
+      p->slots_[i].fn = nullptr;
+    }
   }
 }
 
@@ -170,14 +206,14 @@ std::string Simulator::telemetry_json(bool include_spans) {
 
 bool Simulator::empty() const {
   for (const auto& p : parts_) {
-    if (!p->queue_.empty()) return false;
+    if (!p->heap_.empty()) return false;
   }
   return true;
 }
 
 std::size_t Simulator::pending() const {
   std::size_t total = 0;
-  for (const auto& p : parts_) total += p->queue_.size();
+  for (const auto& p : parts_) total += p->heap_.size();
   return total;
 }
 
@@ -188,14 +224,7 @@ std::size_t Simulator::run() {
     Partition& p = *parts_[0];
     Partition::ScopedCurrent guard(&p);
     std::size_t count = 0;
-    while (!p.queue_.empty()) {
-      Partition::Event ev = p.pop_event();
-      if (!p.claim_fire(ev)) continue;
-      p.now_ = ev.when;
-      ev.fn();
-      p.recycle_slot(ev.slot);
-      ++count;
-    }
+    while (!p.heap_.empty()) count += p.fire_next();
     return count;
   }
   return run_windowed(kNever, /*until_empty=*/true);
@@ -234,8 +263,12 @@ std::size_t Simulator::run_windowed(Time deadline, bool until_empty) {
     if (!until_empty && limit > deadline) limit = deadline;
     run_round(limit);
     for (auto& p : parts_) total += p->last_window_events_;
-    // Barrier: merge cross-partition mail, in partition-id order.
-    for (auto& p : parts_) p->drain_inbox();
+    // Barrier: merge cross-partition mail, in partition-id order, and
+    // compact the queues that have grown past their threshold.
+    for (auto& p : parts_) {
+      p->drain_inbox();
+      p->compact_if_due();
+    }
     // All partitions quiescent at `limit`: run the control-plane
     // callbacks the window raised (Simulator::at_barrier). They may
     // schedule fresh events anywhere, so the floor is recomputed next

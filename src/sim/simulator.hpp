@@ -29,6 +29,7 @@
 // race-free and thread-count-deterministic by construction.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -37,8 +38,8 @@
 #include <limits>
 #include <memory>
 #include <mutex>
-#include <queue>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -56,21 +57,28 @@ class Executor;
 /// Time value meaning "no pending event".
 inline constexpr Time kNever = std::numeric_limits<Time>::max();
 
-/// Generation-counted cancellation slot. One atomic per armed event,
-/// recycled through its home partition's pool, so arming a cancellable
-/// timer (every TCP RTO) allocates nothing in steady state. The
-/// generation check makes stale tokens harmless after the slot has been
-/// recycled to a newer event.
+/// Generation-counted event slot. One per armed event, pooled per
+/// partition at a stable address, so arming a cancellable timer (every
+/// TCP RTO) allocates no slot in steady state. The slot carries the
+/// event's callback; the queue itself holds only 24-byte keys pointing
+/// here. Cancelling moves `gen` past `armed_gen`; the partition that
+/// queues the event notices when the key fires or when it compacts its
+/// queue, and only then recycles the slot, so a stale token (armed under
+/// an older generation) can never touch a newer event.
 struct CancelSlot {
   std::atomic<std::uint64_t> gen{0};
-  Partition* home = nullptr;
+  // Written by the arming thread, then read only by whichever thread
+  // owns the queue holding the event (mailbox hand-off in between).
+  std::uint64_t armed_gen = 0;
+  std::function<void()> fn;
 };
 
-/// Handle for a scheduled event. Cancelling marks the event dead; the
-/// run loop discards dead events without advancing now(), so abandoned
-/// timers (e.g. a TCP retransmission timer disarmed by an ACK) leave no
-/// trace in the simulated clock. Tokens are cheap value types: a slot
-/// pointer plus the generation it was armed under.
+/// Handle for a scheduled event. Cancelling marks the event dead with
+/// one generation CAS, from any thread; the owning partition drops dead
+/// events without advancing now(), so abandoned timers (e.g. a TCP
+/// retransmission timer disarmed by an ACK) leave no trace in the
+/// simulated clock. Tokens are cheap value types: a slot pointer plus
+/// the generation it was armed under.
 class CancelToken {
  public:
   CancelToken() = default;
@@ -127,17 +135,17 @@ class Partition {
  private:
   friend class Simulator;
   friend class Executor;
-  friend class CancelToken;
 
-  struct Event {
+  /// Heap entry: trivially copyable, 24 bytes. The callback and the
+  /// cancellation state live in the slot.
+  struct Key {
     Time when;
     std::uint64_t seq;  // FIFO tie-break for equal timestamps
-    Callback fn;
     CancelSlot* slot;
-    std::uint64_t gen;
   };
+  static_assert(std::is_trivially_copyable_v<Key> && sizeof(Key) == 24);
   struct Later {
-    bool operator()(const Event& a, const Event& b) const {
+    bool operator()(const Key& a, const Key& b) const {
       if (a.when != b.when) return a.when > b.when;
       return a.seq > b.seq;
     }
@@ -149,53 +157,55 @@ class Partition {
     Time when;
     std::uint32_t src;
     std::uint64_t src_seq;
-    Callback fn;
     CancelSlot* slot;
-    std::uint64_t gen;
   };
+
+  /// Smallest heap size that triggers a compaction.
+  static constexpr std::size_t kMinCompactAt = 64;
 
   Partition(Simulator& owner, std::uint32_t id);  // defined in .cpp:
   // members include unique_ptr<obs::Registry>, incomplete here.
 
-  // --- cancel-slot pool ---
-  // acquire is only ever called by the thread legally running this
-  // partition (its window worker, or the coordinator thread outside a
-  // run), so the local free list needs no lock. Frees coming from other
-  // partitions' threads (a mailbox event firing remotely, a
-  // cross-partition cancel) go through the mutex-guarded remote list.
-  CancelSlot* acquire_slot() {
-    if (free_local_.empty()) {
-      std::lock_guard<std::mutex> lock(pool_mu_);
-      if (free_remote_.empty()) {
-        slots_.emplace_back();
-        slots_.back().home = this;
-        return &slots_.back();
-      }
-      free_local_.swap(free_remote_);
-    }
-    CancelSlot* slot = free_local_.back();
-    free_local_.pop_back();
+  // --- slot pool ---
+  // Only the thread legally running this partition (its window worker,
+  // or the coordinator thread at a barrier or outside a run) takes slots
+  // from or returns slots to the free list, so it needs no lock. A slot
+  // armed here for another partition travels with its mail and is
+  // recycled into the destination's free list.
+  CancelSlot* arm_slot(Callback&& fn) {
+    if (free_.empty()) free_.push_back(&slots_.emplace_back());
+    CancelSlot* slot = free_.back();
+    free_.pop_back();
+    slot->armed_gen = slot->gen.load(std::memory_order_relaxed);
+    slot->fn = std::move(fn);
     return slot;
   }
+  /// The event in `slot` fired or was found cancelled: drop its callback
+  /// (and whatever it captured) and reuse the slot.
   void recycle_slot(CancelSlot* slot) {
-    if (s_current == this || s_current == nullptr) {
-      free_local_.push_back(slot);
-    } else {
-      std::lock_guard<std::mutex> lock(pool_mu_);
-      free_remote_.push_back(slot);
-    }
+    slot->fn = nullptr;
+    free_.push_back(slot);
   }
 
-  void enqueue(Time when, Callback fn, CancelSlot* slot, std::uint64_t gen) {
-    queue_.push(Event{when, next_seq_++, std::move(fn), slot, gen});
+  void enqueue(Time when, CancelSlot* slot) {
+    heap_.push_back(Key{when, next_seq_++, slot});
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
+    if (compact_on_push_) compact_if_due();
+  }
+
+  /// Drop every key whose event was cancelled, recycle those slots and
+  /// rebuild the heap; the next compaction waits until the heap has
+  /// doubled again, so the cost is amortised O(1) per push.
+  void compact();
+  void compact_if_due() {
+    if (heap_.size() >= compact_at_) compact();
   }
 
   CancelToken schedule_local(Time when, Callback fn) {
     if (when < now_) when = now_;
-    CancelSlot* slot = acquire_slot();
-    const std::uint64_t gen = slot->gen.load(std::memory_order_relaxed);
-    enqueue(when, std::move(fn), slot, gen);
-    return CancelToken(slot, gen);
+    CancelSlot* slot = arm_slot(std::move(fn));
+    enqueue(when, slot);
+    return CancelToken(slot, slot->armed_gen);
   }
 
   /// Post a cross-partition event from *this* (the partition the calling
@@ -223,28 +233,17 @@ class Partition {
   /// partition can never outrun the global lookahead window.
   std::size_t run_window(Time limit);
 
+  /// Pop the earliest key and run its event unless it was cancelled (a
+  /// cancelled event leaves now() untouched); either way the slot is
+  /// recycled. Returns 1 if the event ran, else 0.
+  std::size_t fire_next();
+
+  /// Earliest queued key, cancelled or not.
   Time next_event_time() const {
-    return queue_.empty() ? kNever : queue_.top().when;
+    return heap_.empty() ? kNever : heap_.front().when;
   }
 
-  /// Move-extract the top event (the comparator only reads when/seq,
-  /// which moving leaves intact, so hollowing out fn before pop is safe
-  /// and skips a std::function deep copy per event).
-  Event pop_event() {
-    Event ev = std::move(const_cast<Event&>(queue_.top()));
-    queue_.pop();
-    return ev;
-  }
-
-  /// True if popped event was cancelled; winner of the generation CAS
-  /// owns the slot recycle.
-  bool claim_fire(const Event& ev) {
-    std::uint64_t expected = ev.gen;
-    return ev.slot->gen.compare_exchange_strong(expected, ev.gen + 1,
-                                                std::memory_order_acq_rel);
-  }
-
-  static thread_local Partition* s_current;
+  static constinit inline thread_local Partition* s_current = nullptr;
 
   /// A control-plane callback deferred to the next window barrier
   /// (Simulator::at_barrier). Buffered thread-confined on the posting
@@ -261,7 +260,17 @@ class Partition {
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t mail_seq_ = 0;  // outgoing cross-partition send counter
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  // Binary min-heap on (when, seq): live events plus cancelled ones not
+  // yet compacted.
+  std::vector<Key> heap_;
+  std::size_t compact_at_ = kMinCompactAt;
+  // A lone partition compacts on the push that reaches compact_at_.
+  // With several, another partition's thread may cancel one of this
+  // partition's events mid-window, so compaction waits for the barrier,
+  // where which keys are dead no longer depends on thread timing; that
+  // keeps the queue, and the window floors read from it, identical at
+  // any thread count.
+  bool compact_on_push_ = true;
   std::unique_ptr<obs::Registry> telemetry_;
   std::size_t last_window_events_ = 0;
 
@@ -276,11 +285,9 @@ class Partition {
   std::vector<BarrierReq> barrier_reqs_;
   std::uint64_t barrier_seq_ = 0;
 
-  // Slot pool: slots_ gives stable addresses; the free lists recycle.
+  // Slot pool: slots_ gives stable addresses; free_ recycles them.
   std::deque<CancelSlot> slots_;
-  std::vector<CancelSlot*> free_local_;
-  std::mutex pool_mu_;
-  std::vector<CancelSlot*> free_remote_;
+  std::vector<CancelSlot*> free_;
 
   std::mutex inbox_mu_;
   std::vector<Mail> inbox_;
@@ -460,6 +467,9 @@ class Simulator {
   std::size_t run_for(Duration d) { return run_until(now() + d); }
 
   bool empty() const;
+  /// Queued events across all partitions. Counts cancelled events whose
+  /// keys have not been compacted away yet, so it bounds rather than
+  /// equals the live event count.
   std::size_t pending() const;
 
   /// Partition 0's telemetry hub (the whole cluster's, for
@@ -533,11 +543,11 @@ inline Executor::Executor(Simulator& simulator)
 
 inline void CancelToken::cancel() {
   if (slot_ == nullptr) return;
+  // The owning partition recycles the slot when it pops or compacts the
+  // dead key; cancel itself only moves the generation.
   std::uint64_t expected = gen_;
-  if (slot_->gen.compare_exchange_strong(expected, gen_ + 1,
-                                         std::memory_order_acq_rel)) {
-    slot_->home->recycle_slot(slot_);
-  }
+  slot_->gen.compare_exchange_strong(expected, gen_ + 1,
+                                     std::memory_order_acq_rel);
   slot_ = nullptr;
 }
 

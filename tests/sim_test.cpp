@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <set>
 #include <string>
+#include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -148,7 +152,8 @@ TEST(CancelSlot, StaleTokenAfterSlotReuseIsHarmless) {
   int first = 0;
   int second = 0;
   CancelToken stale = sim.schedule(10, [&] { ++first; });
-  stale.cancel();  // slot goes back to the pool
+  stale.cancel();
+  sim.run();  // discards the dead event: its slot goes back to the pool
   // The very next schedule reuses the recycled slot under a new
   // generation; the stale token must not be able to touch it.
   CancelToken fresh = sim.schedule(20, [&] { ++second; });
@@ -406,6 +411,378 @@ TEST(ParallelDeterminism, MergedTelemetryMatchesSinglePartitionShape) {
   const std::string single = sim.telemetry().to_json();
   const std::string merged = sim.telemetry_json();
   EXPECT_EQ(single, merged);
+}
+
+// --- event queue: 24-byte heap keys, cancelled timers dropped in bulk ---
+
+TEST(EventQueue, CancelledTimersDoNotAccumulate) {
+  // Every 1 us tick cancels and re-arms a few 200 ms timers, the way each
+  // ACK restarts a TCP retransmission timer. The cancelled timers must
+  // leave the queue long before their deadlines.
+  Simulator sim;
+  constexpr std::size_t kTimers = 4;
+  constexpr std::size_t kTicks = 100'000;
+  const Duration rto = milliseconds(200);
+  std::vector<CancelToken> timers(kTimers);
+  std::vector<Time> fired_at(kTimers, 0);
+  std::size_t max_pending = 0;
+  Time last_tick = 0;
+  std::size_t ticks = 0;
+  std::function<void()> tick = [&] {
+    for (std::size_t i = 0; i < kTimers; ++i) {
+      timers[i].cancel();
+      timers[i] = sim.schedule_in(rto, [&, i] { fired_at[i] = sim.now(); });
+    }
+    max_pending = std::max(max_pending, sim.pending());
+    last_tick = sim.now();
+    if (++ticks < kTicks) sim.schedule_in(microseconds(1), tick);
+  };
+  sim.schedule(0, tick);
+  EXPECT_EQ(sim.run(), kTicks + kTimers);
+  EXPECT_EQ(ticks, kTicks);
+  // Five live events at any time; the heap compacts at 64 keys.
+  EXPECT_LE(max_pending, 64u);
+  // The timers left armed by the last tick still fire at their deadline.
+  for (const Time t : fired_at) EXPECT_EQ(t, last_tick + rto);
+  EXPECT_TRUE(sim.empty());
+}
+
+constexpr Duration kModelLookahead = 100;
+
+/// Reference model of the simulator's event queues: per partition, the
+/// live events as a std::set of (when, seq, id). A cancelled event just
+/// leaves the set; its deadline is remembered until a run passes it, to
+/// bound what a queue that kept every cancelled key would hold. The
+/// model runs partitions in one global (when, partition, seq) sweep:
+/// partitions interact only through cancels aimed at least one
+/// lookahead ahead, so every per-partition order matches the windowed
+/// kernel's.
+class ModelQueue {
+ public:
+  explicit ModelQueue(std::uint32_t parts) : parts_(parts) {}
+
+  std::function<void(std::uint32_t, int)> fire;
+
+  Time now(std::uint32_t p) const { return parts_[p].now; }
+  void schedule(std::uint32_t p, Time when, int id) {
+    Part& part = parts_[p];
+    const Entry e{std::max(when, part.now), part.seq++, id};
+    part.live.insert(e);
+    if (part.by_id.size() <= static_cast<std::size_t>(id)) {
+      part.by_id.resize(static_cast<std::size_t>(id) + 1);
+    }
+    part.by_id[static_cast<std::size_t>(id)] = e;
+  }
+  void schedule_now(std::uint32_t p, int id) { schedule(p, now(p), id); }
+  bool armed(std::uint32_t p, int id) const {
+    const Part& part = parts_[p];
+    return part.live.count(part.by_id[static_cast<std::size_t>(id)]) > 0;
+  }
+  void cancel(std::uint32_t p, int id) {
+    Part& part = parts_[p];
+    const Entry& e = part.by_id[static_cast<std::size_t>(id)];
+    if (part.live.erase(e) > 0) part.dead.insert(std::get<0>(e));
+  }
+  std::size_t run_until(Time deadline) {
+    const std::size_t count = sweep(deadline);
+    for (Part& part : parts_) part.now = std::max(part.now, deadline);
+    return count;
+  }
+  std::size_t run() { return sweep(kNever); }
+  /// {live events, live + cancelled keys not yet past a run's deadline}.
+  std::pair<std::size_t, std::size_t> size_bounds() const {
+    std::size_t live = 0;
+    std::size_t keys = 0;
+    for (const Part& part : parts_) {
+      live += part.live.size();
+      keys += part.live.size() + part.dead.size();
+    }
+    return {live, keys};
+  }
+
+ private:
+  using Entry = std::tuple<Time, std::uint64_t, int>;  // when, seq, id
+  struct Part {
+    Time now = 0;
+    std::uint64_t seq = 0;
+    std::set<Entry> live;
+    std::multiset<Time> dead;
+    std::vector<Entry> by_id;
+  };
+
+  std::size_t sweep(Time deadline) {
+    std::size_t count = 0;
+    for (;;) {
+      Part* next = nullptr;
+      std::uint32_t next_p = 0;
+      for (std::uint32_t p = 0; p < parts_.size(); ++p) {
+        Part& part = parts_[p];
+        if (part.live.empty()) continue;
+        const Time when = std::get<0>(*part.live.begin());
+        if (when > deadline) continue;
+        if (next == nullptr || when < std::get<0>(*next->live.begin())) {
+          next = &part;
+          next_p = p;
+        }
+      }
+      if (next == nullptr) break;
+      const Entry e = *next->live.begin();
+      next->live.erase(next->live.begin());
+      next->now = std::get<0>(e);
+      ++count;
+      fire(next_p, std::get<2>(e));
+    }
+    for (Part& part : parts_) {
+      part.dead.erase(part.dead.begin(), part.dead.upper_bound(deadline));
+    }
+    return count;
+  }
+
+  std::vector<Part> parts_;
+};
+
+/// The same operations against the real simulator, one CancelToken per
+/// event id.
+class RealQueue {
+ public:
+  RealQueue(std::uint32_t parts, std::uint32_t threads)
+      : sim_(config(parts, threads)), tokens_(parts) {}
+
+  std::function<void(std::uint32_t, int)> fire;
+
+  Time now(std::uint32_t p) { return sim_.executor(p).now(); }
+  void schedule(std::uint32_t p, Time when, int id) {
+    token_slot(p, id) =
+        sim_.executor(p).schedule(when, [this, p, id] { fire(p, id); });
+  }
+  void schedule_now(std::uint32_t p, int id) {
+    token_slot(p, id) =
+        sim_.executor(p).schedule_in(0, [this, p, id] { fire(p, id); });
+  }
+  bool armed(std::uint32_t p, int id) {
+    return token_slot(p, id).armed();
+  }
+  void cancel(std::uint32_t p, int id) { token_slot(p, id).cancel(); }
+  CancelToken token(std::uint32_t p, int id) { return token_slot(p, id); }
+  std::size_t run_until(Time deadline) { return sim_.run_until(deadline); }
+  std::size_t run() { return sim_.run(); }
+  std::pair<std::size_t, std::size_t> size_bounds() const {
+    return {sim_.pending(), sim_.pending()};
+  }
+
+ private:
+  static ParallelConfig config(std::uint32_t parts, std::uint32_t threads) {
+    ParallelConfig c;
+    c.partitions = parts;
+    c.threads = threads;
+    c.lookahead = kModelLookahead;
+    return c;
+  }
+  CancelToken& token_slot(std::uint32_t p, int id) {
+    std::vector<CancelToken>& tokens = tokens_[p];
+    if (tokens.size() <= static_cast<std::size_t>(id)) {
+      tokens.resize(static_cast<std::size_t>(id) + 1);
+    }
+    return tokens[static_cast<std::size_t>(id)];
+  }
+
+  Simulator sim_;
+  std::vector<std::vector<CancelToken>> tokens_;  // [partition][id]
+};
+
+/// A seeded random program over a queue. Each partition owns an id space
+/// and an Rng; a firing event logs (id, clock) and performs 1-4 random
+/// operations: schedule (absolute, possibly in the past) or
+/// schedule_in(0), cancel of any id the partition ever scheduled (live,
+/// fired, cancelled, or with its slot recycled to a newer event), a
+/// double cancel, and a cancel of another partition's event at least one
+/// lookahead ahead. Between run_until steps the coordinator schedules
+/// and cancels too. Everything each partition observes goes to its log.
+template <typename Queue>
+class RandomOps {
+ public:
+  RandomOps(Queue& q, std::uint32_t parts, std::uint64_t seed)
+      : q_(q), parts_(parts), top_(seed), state_(parts) {
+    for (std::uint32_t p = 0; p < parts; ++p) {
+      state_[p].rng = Rng(seed * 7919 + p + 1);
+    }
+    q_.fire = [this](std::uint32_t p, int id) { on_fire(p, id); };
+  }
+
+  struct Result {
+    std::vector<std::vector<std::uint64_t>> logs;  // per partition
+    std::vector<std::uint64_t> steps;  // run counts and clocks
+    std::vector<std::pair<std::size_t, std::size_t>> sizes;
+  };
+
+  Result drive() {
+    for (int round = 0; round < 80; ++round) {
+      const auto ops = top_.between(1, 8);
+      for (std::uint64_t i = 0; i < ops; ++i) {
+        const auto p = static_cast<std::uint32_t>(top_.below(parts_));
+        const Time now = q_.now(p);
+        switch (top_.below(5)) {
+          case 0:  // absolute, possibly in the past (clamped)
+            q_.schedule(p, now + top_.between(0, 400) - std::min<Time>(now, 5),
+                        new_id(p));
+            break;
+          case 1:
+            q_.schedule_now(p, new_id(p));
+            break;
+          case 2: {  // a target other partitions may cancel
+            const int id = new_id(p);
+            const Time when = now + top_.between(kModelLookahead, 2000);
+            q_.schedule(p, when, id);
+            state_[p].remote_target[static_cast<std::size_t>(id)] = true;
+            remote_.push_back(Remote{p, id, when, token_of(p, id)});
+            break;
+          }
+          default:
+            cancel_some(p, top_);
+            break;
+        }
+      }
+      const Time deadline = q_.now(0) + top_.between(1, 300);
+      result_.steps.push_back(q_.run_until(deadline));
+      for (std::uint32_t p = 0; p < parts_; ++p) {
+        result_.steps.push_back(q_.now(p));
+      }
+      result_.sizes.push_back(q_.size_bounds());
+    }
+    result_.steps.push_back(q_.run());
+    if (parts_ == 1) result_.steps.push_back(q_.now(0));
+    for (Part& part : state_) result_.logs.push_back(std::move(part.log));
+    return std::move(result_);
+  }
+
+ private:
+  static constexpr std::uint64_t kArmedTag = 1ull << 62;
+  static constexpr int kBudget = 1500;  // schedules per partition's events
+
+  struct Remote {
+    std::uint32_t p;
+    int id;
+    Time when;
+    CancelToken token;
+  };
+  struct Part {
+    Rng rng;
+    int next_id = 0;
+    int scheduled = 0;
+    std::vector<bool> remote_target;
+    std::vector<std::uint64_t> log;
+  };
+
+  int new_id(std::uint32_t p) {
+    Part& part = state_[p];
+    part.remote_target.push_back(false);
+    return part.next_id++;
+  }
+
+  CancelToken token_of(std::uint32_t p, int id) {
+    if constexpr (std::is_same_v<Queue, RealQueue>) {
+      return q_.token(p, id);
+    } else {
+      (void)p;
+      (void)id;
+      return CancelToken();
+    }
+  }
+
+  void cancel_some(std::uint32_t p, Rng& rng) {
+    Part& part = state_[p];
+    if (part.next_id == 0) return;
+    const auto id = static_cast<int>(
+        rng.below(static_cast<std::uint64_t>(part.next_id)));
+    if (!part.remote_target[static_cast<std::size_t>(id)]) {
+      // Remote targets may be cancelled concurrently from another
+      // partition within this window, so only local ids are observed.
+      part.log.push_back(kArmedTag | (q_.armed(p, id) ? 1u : 0u));
+    }
+    q_.cancel(p, id);
+    if (rng.chance(0.2)) q_.cancel(p, id);  // double cancel
+  }
+
+  void on_fire(std::uint32_t p, int id) {
+    Part& part = state_[p];
+    const Time now = q_.now(p);
+    part.log.push_back(static_cast<std::uint64_t>(id));
+    part.log.push_back(now);
+    const auto ops = part.rng.between(1, 4);
+    for (std::uint64_t i = 0; i < ops; ++i) {
+      const auto roll = part.rng.below(100);
+      if (roll < 55) {
+        if (part.scheduled >= kBudget) continue;
+        ++part.scheduled;
+        const auto kind = part.rng.below(3);
+        if (kind == 0) {
+          q_.schedule_now(p, new_id(p));
+        } else {
+          // Short hops, or a long "retransmission timer".
+          const Duration delay = kind == 1 ? part.rng.between(1, 50)
+                                           : part.rng.between(200, 400);
+          q_.schedule(p, now + delay, new_id(p));
+        }
+      } else if (roll < 90 || remote_.empty()) {
+        cancel_some(p, part.rng);
+      } else {
+        const Remote& r = remote_[part.rng.below(remote_.size())];
+        if (r.p != p && r.when >= now + kModelLookahead) {
+          if constexpr (std::is_same_v<Queue, RealQueue>) {
+            CancelToken t = r.token;  // tokens are per-thread values
+            t.cancel();
+          } else {
+            q_.cancel(r.p, r.id);
+          }
+        }
+      }
+    }
+  }
+
+  Queue& q_;
+  const std::uint32_t parts_;
+  Rng top_;
+  std::vector<Part> state_;
+  std::vector<Remote> remote_;  // appended only between runs
+  Result result_;
+};
+
+TEST(EventQueue, RandomOpsMatchReferenceModel) {
+  std::size_t compacted_checkpoints = 0;
+  std::size_t checkpoints = 0;
+  for (const std::uint32_t parts : {1u, 3u}) {
+    for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+      ModelQueue model(parts);
+      const auto expect = RandomOps<ModelQueue>(model, parts, seed).drive();
+      RealQueue real(parts, parts);
+      const auto got = RandomOps<RealQueue>(real, parts, seed).drive();
+      ASSERT_EQ(got.steps, expect.steps)
+          << parts << " partition(s), seed " << seed;
+      ASSERT_EQ(got.logs, expect.logs)
+          << parts << " partition(s), seed " << seed;
+      if (parts > 1) {
+        // Compaction must not make the queue contents, and so the
+        // window floors, depend on the thread count.
+        RealQueue serial(parts, 1);
+        const auto one = RandomOps<RealQueue>(serial, parts, seed).drive();
+        ASSERT_EQ(one.sizes, got.sizes) << "seed " << seed;
+      }
+      ASSERT_EQ(got.sizes.size(), expect.sizes.size());
+      for (std::size_t i = 0; i < got.sizes.size(); ++i) {
+        // pending() holds every live event and never more keys than a
+        // queue that kept each cancelled one until its deadline.
+        const std::size_t pending = got.sizes[i].first;
+        const auto [live, keys] = expect.sizes[i];
+        ASSERT_LE(live, pending) << "seed " << seed << " step " << i;
+        ASSERT_LE(pending, keys) << "seed " << seed << " step " << i;
+        ++checkpoints;
+        if (pending < keys) ++compacted_checkpoints;
+      }
+    }
+  }
+  // Compaction must actually have run, and often: about one checkpoint
+  // in six finds cancelled keys gone before their deadlines.
+  EXPECT_GT(compacted_checkpoints, checkpoints / 10);
 }
 
 TEST(Cpu, SingleCoreSerializesTasks) {
