@@ -1,6 +1,7 @@
 // Block device abstraction. All I/O is asynchronous (completion
 // callbacks), matching the event-driven simulation; MemDisk completes
-// inline, SimDisk after a modeled service time.
+// inline, SimDisk after a modeled service time. Coroutines await an I/O
+// with co_await block::read(...) / block::write(...).
 #pragma once
 
 #include <cstdint>
@@ -10,6 +11,7 @@
 #include "common/buf.hpp"
 #include "common/bytes.hpp"
 #include "common/status.hpp"
+#include "sim/task.hpp"
 
 namespace storm::block {
 
@@ -70,5 +72,20 @@ class MemDisk : public BlockDevice {
   std::uint64_t sectors_;
   Bytes data_;
 };
+
+/// co_await read(device, lba, count) yields {Status, Bytes}.
+inline auto read(BlockDevice& device, std::uint64_t lba, std::uint32_t count) {
+  return sim::until<Status, Bytes>([&device, lba, count](auto done) {
+    device.read(lba, count, std::move(done));
+  });
+}
+
+/// co_await write(device, lba, data) yields the write's Status.
+inline auto write(BlockDevice& device, std::uint64_t lba, Bytes data) {
+  return sim::until<Status>(
+      [&device, lba, data = std::move(data)](auto done) mutable {
+        device.write(lba, std::move(data), std::move(done));
+      });
+}
 
 }  // namespace storm::block

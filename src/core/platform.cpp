@@ -445,7 +445,6 @@ void StormPlatform::release_replica_flows(Deployment& dep) {
 void StormPlatform::migrate_flow(Deployment& dep, std::size_t position,
                                  std::shared_ptr<MiddleboxInstance> target,
                                  std::function<void(Status)> done) {
-  static constexpr sim::Duration kDrainPollInterval = sim::microseconds(100);
   std::shared_ptr<MiddleboxInstance> source = dep.boxes[position];
   if (source == target) {
     done(Status::ok());
@@ -472,69 +471,67 @@ void StormPlatform::migrate_flow(Deployment& dep, std::size_t position,
   initiator->set_admission_mode(iscsi::AdmissionMode::kDeferred);
   telemetry().add_event(dep.attach_span, "migrate_begin", position);
 
-  const std::uint64_t cookie = dep.splice.cookie;
-  const std::uint16_t vm_port = dep.splice.vm_port;
-  const sim::Time deadline = cloud_.simulator().now() + drain_timeout_;
-  auto done_shared =
-      std::make_shared<std::function<void(Status)>>(std::move(done));
-  auto poll = std::make_shared<std::function<void()>>();
-  *poll = [this, cookie, position, vm_port, deadline, source, target, poll,
-           done_shared] {
-    cloud_.simulator().at_barrier([this, cookie, position, vm_port, deadline,
-                                   source, target, poll, done_shared] {
-      Deployment* dep = deployment_by_cookie(cookie);
-      if (dep == nullptr) {
-        (*done_shared)(error(ErrorCode::kNotFound,
-                             "deployment detached mid-migration"));
-        return;
-      }
-      iscsi::Initiator* initiator = dep->attachment.initiator;
-      const bool drained =
-          initiator->outstanding() == 0 &&
-          source->active_relay->session_quiescent(vm_port);
-      if (!drained) {
-        if (cloud_.simulator().now() >= deadline) {
-          initiator->set_admission_mode(iscsi::AdmissionMode::kOpen);
-          (*done_shared)(
-              error(ErrorCode::kDeadlineExceeded, "migration drain timeout"));
-          return;
-        }
-        cloud_.control_executor().schedule_in(kDrainPollInterval, *poll);
-        return;
-      }
-      // Quiescent: hand the flow off atomically at the barrier.
-      // 1. Snapshot the drained session (login + empty unacked tail) and
-      //    tear it out of the source relay.
-      RelayJournalSnapshot snapshot =
-          source->active_relay->extract_session(vm_port);
-      // 2. The departing replica's capture DNAT is cookie-tagged but
-      //    refresh_capture_rules only touches the *new* chain's VMs —
-      //    flush it explicitly or the old VM keeps capturing the flow.
-      source->vm->node().nat().remove_rules_by_cookie(
-          cookie, /*flush_conntrack=*/true);
-      // 3. Re-point chain + steering at the target replica (one atomic
-      //    swap per switch; the exact-match cache revalidates in-place).
-      dep->splice.chain[position] = Hop{target->vm, RelayMode::kActive};
-      dep->boxes[position] = target;
-      splicer_.refresh_capture_rules(dep->splice);
-      sdn_.reprogram_chain(dep->splice);
-      // 4. Adopt on the target: recreate the session, re-dial upstream,
-      //    replay login (the tail is empty — the flow drained).
-      target->active_relay->register_volume(vm_port, dep->volume);
-      target->active_relay->adopt_sessions(std::move(snapshot));
-      // 5. Re-dial now and reopen the gate: parked commands queue behind
-      //    session recovery and issue after the re-login lands.
-      initiator->kick();
-      initiator->set_admission_mode(iscsi::AdmissionMode::kOpen);
-      telemetry().add_event(dep->attach_span, "migrated", position);
-      telemetry().counter("scaleout.migrations").add();
-      telemetry().record_event(
-          "scaleout: flow port " + std::to_string(vm_port) + " moved " +
-          source->replica_label + " -> " + target->replica_label);
-      (*done_shared)(Status::ok());
-    });
-  };
-  (*poll)();
+  sim::spawn(sim::then(
+      hand_off_flow(dep.splice.cookie, position, dep.splice.vm_port,
+                    cloud_.simulator().now() + drain_timeout_, source, target),
+      std::move(done)));
+}
+
+sim::Task<Status> StormPlatform::hand_off_flow(
+    std::uint64_t cookie, std::size_t position, std::uint16_t vm_port,
+    sim::Time deadline, std::shared_ptr<MiddleboxInstance> source,
+    std::shared_ptr<MiddleboxInstance> target) {
+  static constexpr sim::Duration kDrainPollInterval = sim::microseconds(100);
+  Deployment* dep = nullptr;
+  for (;;) {
+    co_await sim::barrier(cloud_.simulator());
+    dep = deployment_by_cookie(cookie);
+    if (dep == nullptr) {
+      co_return error(ErrorCode::kNotFound,
+                      "deployment detached mid-migration");
+    }
+    if (dep->attachment.initiator->outstanding() == 0 &&
+        source->active_relay->session_quiescent(vm_port)) {
+      break;
+    }
+    if (cloud_.simulator().now() >= deadline) {
+      dep->attachment.initiator->set_admission_mode(
+          iscsi::AdmissionMode::kOpen);
+      co_return error(ErrorCode::kDeadlineExceeded, "migration drain timeout");
+    }
+    co_await sim::sleep(cloud_.control_executor(), kDrainPollInterval);
+  }
+  // Quiescent: hand the flow off atomically at the barrier.
+  // 1. Snapshot the drained session (login + empty unacked tail) and
+  //    tear it out of the source relay.
+  RelayJournalSnapshot snapshot =
+      source->active_relay->extract_session(vm_port);
+  // 2. The departing replica's capture DNAT is cookie-tagged but
+  //    refresh_capture_rules only touches the *new* chain's VMs —
+  //    flush it explicitly or the old VM keeps capturing the flow.
+  source->vm->node().nat().remove_rules_by_cookie(
+      cookie, /*flush_conntrack=*/true);
+  // 3. Re-point chain + steering at the target replica (one atomic
+  //    swap per switch; the exact-match cache revalidates in-place).
+  dep->splice.chain[position] = Hop{target->vm, RelayMode::kActive};
+  dep->boxes[position] = target;
+  splicer_.refresh_capture_rules(dep->splice);
+  sdn_.reprogram_chain(dep->splice);
+  // 4. Adopt on the target: recreate the session, re-dial upstream,
+  //    replay login (the tail is empty — the flow drained).
+  target->active_relay->register_volume(vm_port, dep->volume);
+  target->active_relay->adopt_sessions(std::move(snapshot));
+  // 5. Re-dial now and reopen the gate: parked commands queue behind
+  //    session recovery and issue after the re-login lands.
+  iscsi::Initiator* initiator = dep->attachment.initiator;
+  initiator->kick();
+  initiator->set_admission_mode(iscsi::AdmissionMode::kOpen);
+  telemetry().add_event(dep->attach_span, "migrated", position);
+  telemetry().counter("scaleout.migrations").add();
+  telemetry().record_event(
+      "scaleout: flow port " + std::to_string(vm_port) + " moved " +
+      source->replica_label + " -> " + target->replica_label);
+  co_return Status::ok();
 }
 
 void StormPlatform::rebalance_flows(ReplicaSet& set,
@@ -542,12 +539,7 @@ void StormPlatform::rebalance_flows(ReplicaSet& set,
   // Collect the flows whose arc changed hands, in deterministic (cookie)
   // order, then migrate them one at a time: concurrent migrations of one
   // tenant would interleave their barrier mutations.
-  struct Move {
-    std::uint64_t cookie;
-    std::string from;
-    std::string to;
-  };
-  auto moves = std::make_shared<std::vector<Move>>();
+  std::vector<FlowMove> moves;
   for (const auto& [cookie, label] : set.assignments) {
     Deployment* dep = deployment_by_cookie(cookie);
     if (dep == nullptr) continue;
@@ -555,28 +547,22 @@ void StormPlatform::rebalance_flows(ReplicaSet& set,
         dep->splice.host_storage_ip, dep->splice.vm_port,
         dep->splice.target_ip, iscsi::kIscsiPort));
     if (!target.empty() && target != label) {
-      moves->push_back(Move{cookie, label, target});
+      moves.push_back(FlowMove{cookie, label, target});
     }
   }
-  const std::string set_key = set.key();
-  auto first_error = std::make_shared<Status>(Status::ok());
-  auto step = std::make_shared<std::function<void(std::size_t)>>();
-  *step = [this, set_key, moves, first_error, done, step](std::size_t i) {
-    if (i == moves->size()) {
-      done(*first_error);
-      return;
-    }
-    const Move& move = (*moves)[i];
-    ReplicaSet* set = nullptr;
-    if (auto it = replica_sets_.find(set_key); it != replica_sets_.end()) {
-      set = it->second.get();
-    }
-    Deployment* dep = set != nullptr ? deployment_by_cookie(move.cookie)
-                                     : nullptr;
-    if (dep == nullptr) {
-      (*step)(i + 1);
-      return;
-    }
+  sim::spawn(sim::then(run_moves(set.key(), std::move(moves)),
+                       std::move(done)));
+}
+
+sim::Task<Status> StormPlatform::run_moves(std::string set_key,
+                                           std::vector<FlowMove> moves) {
+  Status first_error;
+  for (const FlowMove& move : moves) {
+    auto it = replica_sets_.find(set_key);
+    ReplicaSet* set = it != replica_sets_.end() ? it->second.get() : nullptr;
+    Deployment* dep =
+        set != nullptr ? deployment_by_cookie(move.cookie) : nullptr;
+    if (dep == nullptr) continue;
     std::shared_ptr<MiddleboxInstance> target;
     for (const auto& replica : set->replicas) {
       if (replica->replica_label == move.to) target = replica;
@@ -588,25 +574,20 @@ void StormPlatform::rebalance_flows(ReplicaSet& set,
         position = p;
       }
     }
-    if (target == nullptr || position == dep->boxes.size()) {
-      (*step)(i + 1);
-      return;
+    if (target == nullptr || position == dep->boxes.size()) continue;
+    Status status = co_await sim::until<Status>([&](auto done) {
+      migrate_flow(*dep, position, target, std::move(done));
+    });
+    if (status.is_ok()) {
+      if (auto again = replica_sets_.find(set_key);
+          again != replica_sets_.end()) {
+        again->second->assignments[move.cookie] = move.to;
+      }
+    } else if (first_error.is_ok()) {
+      first_error = status;
     }
-    migrate_flow(*dep, position, target,
-                 [this, set_key, moves, first_error, step, i](Status status) {
-                   if (status.is_ok()) {
-                     if (auto it = replica_sets_.find(set_key);
-                         it != replica_sets_.end()) {
-                       it->second->assignments[(*moves)[i].cookie] =
-                           (*moves)[i].to;
-                     }
-                   } else if (first_error->is_ok()) {
-                     *first_error = status;
-                   }
-                   (*step)(i + 1);
-                 });
-  };
-  (*step)(0);
+  }
+  co_return first_error;
 }
 
 void StormPlatform::park_replica(ReplicaSet& set,
@@ -675,28 +656,18 @@ void StormPlatform::scale_at_barrier(const std::string& tenant,
     // Initialize fresh services (pool services are replica-safe and
     // initialize synchronously today, but honor the async contract), then
     // move only the flows whose arc the new replicas took over.
-    auto remaining = std::make_shared<std::size_t>(1);
-    auto first_error = std::make_shared<Status>(Status::ok());
-    auto proceed = [this, set_key, first_error, done]() {
-      if (!first_error->is_ok()) {
-        done(*first_error);
-        return;
-      }
-      if (auto it = replica_sets_.find(set_key); it != replica_sets_.end()) {
-        rebalance_flows(*it->second, done);
-      } else {
-        done(Status::ok());
-      }
-    };
-    auto on_ready = [remaining, first_error, proceed](Status status) {
-      if (!status.is_ok() && first_error->is_ok()) *first_error = status;
-      if (--*remaining == 0) proceed();
-    };
-    for (StorageService* service : fresh_services) {
-      ++*remaining;
-      service->initialize(on_ready);
-    }
-    on_ready(Status::ok());
+    sim::spawn(sim::then(
+        initialize_services(std::move(fresh_services)),
+        [this, set_key, done](Status status) {
+          if (!status.is_ok()) {
+            done(status);
+          } else if (auto it = replica_sets_.find(set_key);
+                     it != replica_sets_.end()) {
+            rebalance_flows(*it->second, done);
+          } else {
+            done(Status::ok());
+          }
+        }));
     return;
   }
 
@@ -851,14 +822,12 @@ void StormPlatform::attach_with_chain_at_barrier(
 
   // Let services finish async setup (replication attaches its replicas),
   // then program the network and attach the volume.
-  auto remaining = std::make_shared<std::size_t>(1);
-  auto first_error = std::make_shared<Status>(Status::ok());
-  auto proceed = [this, dep, vm, done, cookie, first_error]() {
-    if (!first_error->is_ok()) {
+  auto proceed = [this, dep, vm, done, cookie](Status ready) {
+    if (!ready.is_ok()) {
       telemetry().record_event("deploy " + dep->vm + ":" + dep->volume +
-                               " failed: " + first_error->to_string());
+                               " failed: " + ready.to_string());
       rollback_deployment(dep);
-      done(*first_error);
+      done(ready);
       return;
     }
     wire_relays(*dep);
@@ -902,15 +871,15 @@ void StormPlatform::attach_with_chain_at_barrier(
                          },
                          hooks);
   };
-  auto on_ready = [remaining, first_error, proceed](Status status) {
-    if (!status.is_ok() && first_error->is_ok()) *first_error = status;
-    if (--*remaining == 0) proceed();
-  };
-  for (StorageService* service : fresh_services) {
-    ++*remaining;
-    service->initialize(on_ready);
-  }
-  on_ready(Status::ok());  // release the initial hold
+  sim::spawn(sim::then(initialize_services(std::move(fresh_services)),
+                       std::move(proceed)));
+}
+
+sim::Task<Status> StormPlatform::initialize_services(
+    std::vector<StorageService*> services) {
+  sim::Join join;
+  for (StorageService* service : services) service->initialize(join.add());
+  co_return co_await join;
 }
 
 void StormPlatform::apply_policy(
@@ -922,27 +891,21 @@ void StormPlatform::apply_policy(
     return;
   }
   if (policy.qos.enabled) set_tenant_qos(policy.tenant, policy.qos);
-  auto volumes = std::make_shared<std::vector<VolumePolicy>>(policy.volumes);
-  auto handles = std::make_shared<std::vector<DeploymentHandle>>();
-  auto step = std::make_shared<std::function<void(std::size_t)>>();
-  *step = [this, volumes, handles, done, step](std::size_t index) {
-    if (index == volumes->size()) {
-      done(Result<std::vector<DeploymentHandle>>(std::move(*handles)));
-      return;
-    }
-    const VolumePolicy& vp = (*volumes)[index];
-    attach_with_chain(vp.vm, vp.volume, vp.chain,
-                      [handles, done, step, index](
-                          Result<DeploymentHandle> result) {
-                        if (!result.is_ok()) {
-                          done(result.status());
-                          return;
-                        }
-                        handles->push_back(result.value());
-                        (*step)(index + 1);
-                      });
-  };
-  (*step)(0);
+  sim::spawn(sim::then(attach_volumes(policy.volumes), std::move(done)));
+}
+
+sim::Task<Result<std::vector<DeploymentHandle>>>
+StormPlatform::attach_volumes(std::vector<VolumePolicy> volumes) {
+  std::vector<DeploymentHandle> handles;
+  for (const VolumePolicy& vp : volumes) {
+    auto result = co_await sim::until<Result<DeploymentHandle>>(
+        [&](auto done) {
+          attach_with_chain(vp.vm, vp.volume, vp.chain, std::move(done));
+        });
+    if (!result.is_ok()) co_return result.status();
+    handles.push_back(result.value());
+  }
+  co_return handles;
 }
 
 void StormPlatform::set_tenant_qos(const std::string& tenant,
@@ -1034,40 +997,40 @@ bool StormPlatform::deployment_quiescent(const Deployment& dep) const {
 
 void StormPlatform::drain_deployment(Deployment& dep,
                                      std::function<void(Status)> done) {
-  // Drain poll cadence: fine-grained enough that the drain adds at most
-  // ~100us to a teardown, coarse enough not to dominate the event queue.
-  static constexpr sim::Duration kDrainPollInterval = sim::microseconds(100);
   dep.state = DeploymentState::kDraining;
   if (dep.attachment.initiator != nullptr) {
     dep.attachment.initiator->set_admission(false);
   }
   telemetry().add_event(dep.attach_span, "drain_begin");
-  const std::uint64_t cookie = dep.splice.cookie;
-  const sim::Time deadline = cloud_.simulator().now() + drain_timeout_;
-  auto done_shared = std::make_shared<std::function<void(Status)>>(
-      std::move(done));
-  auto poll = std::make_shared<std::function<void()>>();
-  *poll = [this, cookie, deadline, poll, done_shared] {
+  sim::spawn(await_drained(dep.splice.cookie,
+                           cloud_.simulator().now() + drain_timeout_,
+                           std::move(done)));
+}
+
+sim::Task<void> StormPlatform::await_drained(
+    std::uint64_t cookie, sim::Time deadline,
+    std::function<void(Status)> done) {
+  // Drain poll cadence: fine-grained enough that the drain adds at most
+  // ~100us to a teardown, coarse enough not to dominate the event queue.
+  static constexpr sim::Duration kDrainPollInterval = sim::microseconds(100);
+  for (;;) {
     // The quiescence probe reads initiator and relay state across
     // partitions; hop from the control partition's timer to the barrier
     // before looking (inline on a single-partition simulator).
-    cloud_.simulator().at_barrier([this, cookie, deadline, poll,
-                                   done_shared] {
-      Deployment* dep = deployment_by_cookie(cookie);
-      if (dep == nullptr) return;  // torn down while the poll was pending
-      if (deployment_quiescent(*dep)) {
-        telemetry().add_event(dep->attach_span, "drained");
-        (*done_shared)(Status::ok());
-        return;
-      }
-      if (cloud_.simulator().now() >= deadline) {
-        (*done_shared)(error(ErrorCode::kDeadlineExceeded, "drain timeout"));
-        return;
-      }
-      cloud_.control_executor().schedule_in(kDrainPollInterval, *poll);
-    });
-  };
-  (*poll)();
+    co_await sim::barrier(cloud_.simulator());
+    Deployment* dep = deployment_by_cookie(cookie);
+    if (dep == nullptr) co_return;  // torn down while the poll was pending
+    if (deployment_quiescent(*dep)) {
+      telemetry().add_event(dep->attach_span, "drained");
+      done(Status::ok());
+      co_return;
+    }
+    if (cloud_.simulator().now() >= deadline) {
+      done(error(ErrorCode::kDeadlineExceeded, "drain timeout"));
+      co_return;
+    }
+    co_await sim::sleep(cloud_.control_executor(), kDrainPollInterval);
+  }
 }
 
 Status StormPlatform::detach_deployment(std::uint64_t cookie) {

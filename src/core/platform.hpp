@@ -30,6 +30,7 @@
 #include "core/splicer.hpp"
 #include "net/qos.hpp"
 #include "obs/registry.hpp"
+#include "sim/task.hpp"
 
 namespace storm::core {
 
@@ -311,12 +312,31 @@ class StormPlatform {
   void migrate_flow(Deployment& dep, std::size_t position,
                     std::shared_ptr<MiddleboxInstance> target,
                     std::function<void(Status)> done);
+  /// Run every service's initialize() concurrently; the first error wins.
+  sim::Task<Status> initialize_services(
+      std::vector<StorageService*> services);
+  /// apply_policy's attach loop: one volume at a time, in policy order.
+  sim::Task<Result<std::vector<DeploymentHandle>>> attach_volumes(
+      std::vector<VolumePolicy> volumes);
+  /// migrate_flow's drain poll and handoff, once admission is deferred.
+  sim::Task<Status> hand_off_flow(std::uint64_t cookie, std::size_t position,
+                                  std::uint16_t vm_port, sim::Time deadline,
+                                  std::shared_ptr<MiddleboxInstance> source,
+                                  std::shared_ptr<MiddleboxInstance> target);
   void scale_at_barrier(const std::string& tenant, const std::string& type,
                         unsigned target, std::function<void(Status)> done);
   /// After the ring changed: migrate every flow whose assignment no
   /// longer matches its current replica, one at a time (deterministic
   /// order), then run `done`.
   void rebalance_flows(ReplicaSet& set, std::function<void(Status)> done);
+  /// A flow whose ring arc moved from replica `from` to replica `to`.
+  struct FlowMove {
+    std::uint64_t cookie;
+    std::string from;
+    std::string to;
+  };
+  sim::Task<Status> run_moves(std::string set_key,
+                              std::vector<FlowMove> moves);
   /// Retire a drained replica: shut its relay down, power the VM off,
   /// unhook its stall callback, move it to the parked list.
   void park_replica(ReplicaSet& set,
@@ -339,6 +359,8 @@ class StormPlatform {
   /// deployment forever). Runs `done` synchronously when already
   /// quiescent.
   void drain_deployment(Deployment& dep, std::function<void(Status)> done);
+  sim::Task<void> await_drained(std::uint64_t cookie, sim::Time deadline,
+                                std::function<void(Status)> done);
   /// Nothing in flight anywhere: no outstanding initiator commands, all
   /// relay queues/journals/backlogs empty.
   bool deployment_quiescent(const Deployment& dep) const;

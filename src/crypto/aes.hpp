@@ -30,12 +30,6 @@ class Aes {
   std::array<std::uint8_t, 16 * 15> round_keys_{};  // (rounds+1) * 16
 };
 
-/// CTR mode keystream: out[i] = in[i] XOR AES(counter_block(i)).
-/// Encryption and decryption are the same operation.
-void aes_ctr_crypt(const Aes& cipher, const std::uint8_t iv[16],
-                   std::span<const std::uint8_t> in,
-                   std::span<std::uint8_t> out);
-
 /// XTS-AES for sector storage (IEEE 1619, without ciphertext stealing:
 /// data length must be a multiple of 16 bytes, which holds for 512-byte
 /// sectors). Uses two independent keys: `data_key` for the blocks and

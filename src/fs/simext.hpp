@@ -24,6 +24,7 @@
 #include "block/block_device.hpp"
 #include "fs/layout.hpp"
 #include "sim/simulator.hpp"
+#include "sim/task.hpp"
 
 namespace storm::fs {
 
@@ -85,30 +86,33 @@ class SimExt {
   std::uint32_t free_data_blocks() const;
 
  private:
-  struct Joiner;
+  // Every operation body is a sim::Task; the public calls above wrap them.
 
-  // --- op queue (VFS lock) ---
-  void enqueue(std::function<void(DoneCb)> op, DoneCb user_done);
-  void run_next();
+  // --- op queue (VFS lock): operations run one at a time, in order ---
+  void enqueue(std::function<sim::Task<void>()> op);
+  sim::Task<void> run_ops();
 
   // --- metadata cache ---
-  void ensure_block(std::uint32_t block, DoneCb done);
-  void ensure_blocks(std::vector<std::uint32_t> blocks, DoneCb done);
+  sim::Task<Status> ensure_block(std::uint32_t block);
+  /// Fetch every uncached block concurrently.
+  sim::Task<Status> ensure_blocks(std::vector<std::uint32_t> blocks);
   Bytes& cached(std::uint32_t block);
-  void mark_dirty(std::uint32_t block, const std::shared_ptr<Joiner>& join);
-  void flush_dirty(DoneCb done);
+  void mark_dirty(std::uint32_t block, sim::Join& join);
+  void schedule_flush();
+  sim::Task<Status> flush_dirty();
 
   // --- inode helpers (blocks must be ensured first) ---
   Inode get_inode(std::uint32_t ino);
-  void put_inode(std::uint32_t ino, const Inode& inode,
-                 const std::shared_ptr<Joiner>& join);
+  void put_inode(std::uint32_t ino, const Inode& inode, sim::Join& join);
   std::uint32_t inode_block(std::uint32_t ino) const;
 
   // --- allocation (bitmaps are always cached after mount) ---
-  Result<std::uint32_t> alloc_inode(const std::shared_ptr<Joiner>& join);
-  Result<std::uint32_t> alloc_block(const std::shared_ptr<Joiner>& join);
-  void free_inode(std::uint32_t ino, const std::shared_ptr<Joiner>& join);
-  void free_block(std::uint32_t block, const std::shared_ptr<Joiner>& join);
+  Result<std::uint32_t> alloc_inode(sim::Join& join);
+  Result<std::uint32_t> alloc_block(sim::Join& join);
+  /// A zeroed pointer-table block, stored in `slot`.
+  Status alloc_table(std::uint32_t& slot, sim::Join& join);
+  void free_inode(std::uint32_t ino, sim::Join& join);
+  void free_block(std::uint32_t block, sim::Join& join);
 
   // --- path resolution ---
   struct Resolved {
@@ -116,39 +120,45 @@ class SimExt {
     std::uint32_t inode = 0;        // 0 when the leaf does not exist
     std::string leaf;
   };
-  using ResolveCb = std::function<void(Status, Resolved)>;
-  void resolve(const std::string& path, ResolveCb done);
-  void resolve_step(std::shared_ptr<std::vector<std::string>> parts,
-                    std::size_t index, std::uint32_t current, ResolveCb done);
-  /// Scan `dir` for `name`; requires dir data blocks ensured. Returns slot
-  /// position via out-params.
-  void dir_scan(const Inode& dir, const std::string& name,
-                std::function<void(Status, std::uint32_t /*ino*/,
-                                   std::uint32_t /*block*/,
-                                   std::uint32_t /*slot_off*/)> done);
-  void dir_add_entry(std::uint32_t dir_ino, const DirEntry& entry,
-                     DoneCb done);
-  void dir_remove_entry(std::uint32_t dir_ino, const std::string& name,
-                        DoneCb done);
+  sim::Task<Result<Resolved>> resolve(std::string path);
+  /// Where a directory entry lives; ino 0 when the name is absent.
+  struct Slot {
+    std::uint32_t ino = 0;
+    std::uint32_t block = 0;
+    std::uint32_t offset = 0;
+  };
+  /// Scan directory `dir` for `name`.
+  sim::Task<Result<Slot>> dir_scan(Inode dir, std::string name);
+  /// Every live entry of directory `ino`.
+  sim::Task<Result<std::vector<DirEntry>>> dir_list(std::uint32_t ino);
+  sim::Task<Status> dir_add_entry(std::uint32_t dir_ino, DirEntry entry);
+  sim::Task<Status> dir_remove_entry(std::uint32_t dir_ino,
+                                     std::string name);
 
   // --- file block mapping ---
   /// Absolute block number for file-block `index` (0 when unmapped and
   /// !allocate). With allocate, extends the mapping, updating `inode`
-  /// in place (caller persists it).
-  void map_block(Inode& inode, std::uint32_t index, bool allocate,
-                 std::shared_ptr<Joiner> join,
-                 std::function<void(Status, std::uint32_t)> done);
-  void free_file_blocks(const Inode& inode, std::shared_ptr<Joiner> join,
-                        DoneCb done);
+  /// in place (caller persists it); `join` collects the metadata writes.
+  sim::Task<Result<std::uint32_t>> map_block(Inode& inode,
+                                             std::uint32_t index,
+                                             bool allocate, sim::Join* join);
+  /// Free pointer table `table` and everything below it (`depth` 1: data
+  /// blocks, 2: tables of data blocks).
+  sim::Task<Status> free_table(std::uint32_t table, int depth,
+                               sim::Join& join);
+  sim::Task<Status> free_file_blocks(Inode inode, sim::Join& join);
 
   // --- op bodies ---
-  void do_create(const std::string& path, InodeType type, DoneCb done);
-  void do_write(const std::string& path, std::uint64_t offset, Bytes data,
-                DoneCb done);
-  void do_read(const std::string& path, std::uint64_t offset,
-               std::uint32_t length, ReadCb done);
-  void do_unlink(const std::string& path, DoneCb done);
-  void do_rename(const std::string& from, const std::string& to, DoneCb done);
+  sim::Task<Status> do_mount();
+  sim::Task<Status> do_create(std::string path, InodeType type);
+  sim::Task<Status> do_write(std::string path, std::uint64_t offset,
+                             Bytes data);
+  sim::Task<Result<Bytes>> do_read(std::string path, std::uint64_t offset,
+                                   std::uint32_t length);
+  sim::Task<Status> do_unlink(std::string path);
+  sim::Task<Status> do_rename(std::string from, std::string to);
+  sim::Task<Result<std::vector<DirEntry>>> do_readdir(std::string path);
+  sim::Task<Result<StatInfo>> do_stat(std::string path);
 
   sim::Executor sim_;
   block::BlockDevice& dev_;
@@ -166,7 +176,7 @@ class SimExt {
   std::vector<std::pair<std::uint64_t, Bytes>> pending_data_;
   bool flush_scheduled_ = false;
 
-  std::deque<std::pair<std::function<void(DoneCb)>, DoneCb>> op_queue_;
+  std::deque<std::function<sim::Task<void>()>> op_queue_;
   bool op_running_ = false;
 };
 

@@ -1,6 +1,5 @@
 #include "services/encrypted_disk.hpp"
 
-#include <memory>
 #include <stdexcept>
 
 namespace storm::services {
@@ -22,62 +21,53 @@ void EncryptedDisk::write(std::uint64_t lba, Bytes data, WriteCallback done) {
     done(error(ErrorCode::kInvalidArgument, "unaligned write"));
     return;
   }
-  // Encrypt on the VM's CPU first (the submitting thread blocks on this,
-  // dm-crypt style), then push ciphertext down.
   ciphered_ += data.size();
-  // Compute the cost before the lambda capture moves `data` (argument
-  // evaluation order is unspecified). dm-crypt splits cipher work across
-  // per-CPU workqueues, so charge the cost as parallel halves.
-  sim::Duration half = cost_of(data.size()) / 2;
-  auto remaining = std::make_shared<int>(2);
-  auto proceed = std::make_shared<std::function<void()>>(
-      [this, lba, data = std::move(data), done = std::move(done)]() mutable {
-        for (std::size_t off = 0; off < data.size();
-             off += block::kSectorSize) {
-          std::span<std::uint8_t> sector(data.data() + off,
-                                         block::kSectorSize);
-          xts_->encrypt_sector(lba + off / block::kSectorSize, sector,
-                               sector);
-        }
-        inner_.write(lba, std::move(data), std::move(done));
-      });
-  for (int i = 0; i < 2; ++i) {
-    cpu_.run(half, [remaining, proceed] {
-      if (--*remaining == 0) (*proceed)();
-    });
-  }
+  sim::spawn(encrypt_and_write(lba, std::move(data), std::move(done)));
 }
 
 void EncryptedDisk::read(std::uint64_t lba, std::uint32_t count,
                          ReadCallback done) {
-  inner_.read(lba, count,
-              [this, lba, done = std::move(done)](Status status,
-                                                  Bytes data) mutable {
-                if (!status.is_ok()) {
-                  done(status, std::move(data));
-                  return;
-                }
-                ciphered_ += data.size();
-                sim::Duration half = cost_of(data.size()) / 2;
-                auto remaining = std::make_shared<int>(2);
-                auto proceed = std::make_shared<std::function<void()>>(
-                    [this, lba, data = std::move(data),
-                     done = std::move(done)]() mutable {
-                      for (std::size_t off = 0; off < data.size();
-                           off += block::kSectorSize) {
-                        std::span<std::uint8_t> sector(
-                            data.data() + off, block::kSectorSize);
-                        xts_->decrypt_sector(
-                            lba + off / block::kSectorSize, sector, sector);
-                      }
-                      done(Status::ok(), std::move(data));
-                    });
-                for (int i = 0; i < 2; ++i) {
-                  cpu_.run(half, [remaining, proceed] {
-                    if (--*remaining == 0) (*proceed)();
-                  });
-                }
-              });
+  sim::spawn(read_and_decrypt(lba, count, std::move(done)));
+}
+
+sim::Task<void> EncryptedDisk::cipher_work(std::size_t bytes) {
+  // dm-crypt splits cipher work across per-CPU workqueues, so charge the
+  // cost as parallel halves.
+  sim::Duration half = cost_of(bytes) / 2;
+  sim::Join join;
+  for (int i = 0; i < 2; ++i) {
+    cpu_.run(half, [done = join.add()] { done(Status::ok()); });
+  }
+  co_await join;
+}
+
+sim::Task<void> EncryptedDisk::encrypt_and_write(std::uint64_t lba, Bytes data,
+                                                 WriteCallback done) {
+  // Encrypt on the VM's CPU first (the submitting thread blocks on this,
+  // dm-crypt style), then push ciphertext down.
+  co_await cipher_work(data.size());
+  for (std::size_t off = 0; off < data.size(); off += block::kSectorSize) {
+    std::span<std::uint8_t> sector(data.data() + off, block::kSectorSize);
+    xts_->encrypt_sector(lba + off / block::kSectorSize, sector, sector);
+  }
+  inner_.write(lba, std::move(data), std::move(done));
+}
+
+sim::Task<void> EncryptedDisk::read_and_decrypt(std::uint64_t lba,
+                                                std::uint32_t count,
+                                                ReadCallback done) {
+  auto [status, data] = co_await block::read(inner_, lba, count);
+  if (!status.is_ok()) {
+    done(status, std::move(data));
+    co_return;
+  }
+  ciphered_ += data.size();
+  co_await cipher_work(data.size());
+  for (std::size_t off = 0; off < data.size(); off += block::kSectorSize) {
+    std::span<std::uint8_t> sector(data.data() + off, block::kSectorSize);
+    xts_->decrypt_sector(lba + off / block::kSectorSize, sector, sector);
+  }
+  done(Status::ok(), std::move(data));
 }
 
 }  // namespace storm::services

@@ -11,6 +11,7 @@
 #include "block/block_device.hpp"
 #include "crypto/aes.hpp"
 #include "sim/cpu.hpp"
+#include "sim/task.hpp"
 
 namespace storm::services {
 
@@ -45,6 +46,12 @@ class EncryptedDisk : public block::BlockDevice {
            static_cast<sim::Duration>(config_.ns_per_byte *
                                       static_cast<double>(bytes));
   }
+  /// Charge the cipher cost of `bytes` on the VM's vCPUs.
+  sim::Task<void> cipher_work(std::size_t bytes);
+  sim::Task<void> encrypt_and_write(std::uint64_t lba, Bytes data,
+                                    WriteCallback done);
+  sim::Task<void> read_and_decrypt(std::uint64_t lba, std::uint32_t count,
+                                   ReadCallback done);
 
   block::BlockDevice& inner_;
   sim::Cpu& cpu_;

@@ -99,32 +99,22 @@ void ReplicationService::bind_host(const core::ServiceHost& host) {
 }
 
 void ReplicationService::initialize(std::function<void(Status)> ready) {
-  if (replica_volumes_.empty()) {
-    ready(Status::ok());
-    return;
+  sim::spawn(sim::then(attach_replicas(), std::move(ready)));
+}
+
+sim::Task<Status> ReplicationService::attach_replicas() {
+  for (const std::string& volume : replica_volumes_) {
+    auto [status, device] =
+        co_await sim::until<Status, block::BlockDevice*>(
+            [&](auto done) { attach_(volume, std::move(done)); });
+    if (!status.is_ok()) co_return status;
+    auto replica = std::make_unique<Replica>();
+    replica->volume = volume;
+    replica->device = device;
+    replica->version = set_version_;
+    replicas_.push_back(std::move(replica));
   }
-  auto step = std::make_shared<std::function<void(std::size_t)>>();
-  *step = [this, ready, step](std::size_t index) {
-    if (index == replica_volumes_.size()) {
-      ready(Status::ok());
-      return;
-    }
-    attach_(replica_volumes_[index],
-            [this, ready, step, index](Status status,
-                                       block::BlockDevice* device) {
-              if (!status.is_ok()) {
-                ready(status);
-                return;
-              }
-              auto replica = std::make_unique<Replica>();
-              replica->volume = replica_volumes_[index];
-              replica->device = device;
-              replica->version = set_version_;
-              replicas_.push_back(std::move(replica));
-              (*step)(index + 1);
-            });
-  };
-  (*step)(0);
+  co_return Status::ok();
 }
 
 std::size_t ReplicationService::live_replicas() const {

@@ -32,6 +32,7 @@
 #include "net/qos.hpp"
 #include "services/rebuild.hpp"
 #include "services/write_tracker.hpp"
+#include "sim/task.hpp"
 
 namespace storm::services {
 
@@ -119,6 +120,9 @@ class ReplicationService : public core::StorageService {
   std::uint64_t rebuild_backlog_sectors() const;
 
  private:
+  /// Attach the configured replicas one at a time, in order.
+  sim::Task<Status> attach_replicas();
+
   struct Replica {
     std::string volume;
     block::BlockDevice* device = nullptr;

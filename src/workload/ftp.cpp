@@ -76,7 +76,7 @@ void FtpServer::on_data(std::shared_ptr<Session> session, Buf data) {
     }
     if (verb == "GET") {
       session->header_done = true;
-      serve_download(session, name);
+      sim::spawn(serve_download(session, name));
       return;
     }
     session->conn->abort();
@@ -123,43 +123,56 @@ void FtpServer::pump_upload(std::shared_ptr<Session> session) {
                  });
 }
 
-void FtpServer::serve_download(std::shared_ptr<Session> session,
-                               const std::string& name) {
-  fs_.stat(name, [this, session, name](Status status, fs::StatInfo info) {
-    if (!status.is_ok()) {
-      session->conn->send(to_bytes("-1\n"));
+sim::Task<void> FtpServer::serve_download(std::shared_ptr<Session> session,
+                                          std::string name) {
+  auto [status, info] = co_await sim::until<Status, fs::StatInfo>(
+      [&](auto done) { fs_.stat(name, std::move(done)); });
+  if (!status.is_ok()) {
+    session->conn->send(to_bytes("-1\n"));
+    session->finished = true;
+    co_return;
+  }
+  session->conn->send(to_bytes(std::to_string(info.size) + "\n"));
+  // Stream the file in chunks.
+  for (std::uint64_t offset = 0; offset < info.size;) {
+    auto n = static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(kFsChunk, info.size - offset));
+    auto [read_status, data] = co_await sim::until<Status, Bytes>(
+        [&](auto done) { fs_.read_file(name, offset, n, std::move(done)); });
+    if (!read_status.is_ok()) {
+      session->conn->abort();
       session->finished = true;
-      return;
+      co_return;
     }
-    session->conn->send(to_bytes(std::to_string(info.size) + "\n"));
-    // Stream the file in chunks.
-    auto offset = std::make_shared<std::uint64_t>(0);
-    auto step = std::make_shared<std::function<void()>>();
-    *step = [this, session, name, size = info.size, offset, step] {
-      if (*offset >= size) {
-        session->finished = true;
-        return;
-      }
-      std::uint32_t n = static_cast<std::uint32_t>(
-          std::min<std::uint64_t>(kFsChunk, size - *offset));
-      fs_.read_file(name, *offset, n,
-                    [this, session, offset, step](Status status, Bytes data) {
-                      if (!status.is_ok()) {
-                        session->conn->abort();
-                        session->finished = true;
-                        return;
-                      }
-                      *offset += data.size();
-                      bytes_served_ += data.size();
-                      vm_.cpu().burn(static_cast<sim::Duration>(
-                          kAppNsPerByte * static_cast<double>(data.size())));
-                      session->conn->send(std::move(data));
-                      (*step)();
-                    });
-    };
-    (*step)();
-  });
+    offset += data.size();
+    bytes_served_ += data.size();
+    vm_.cpu().burn(static_cast<sim::Duration>(
+        kAppNsPerByte * static_cast<double>(data.size())));
+    session->conn->send(std::move(data));
+  }
+  session->finished = true;
 }
+
+namespace {
+
+/// Stream `bytes` of pattern payload in 1 MB application writes, paced
+/// by send-buffer drain: check back every millisecond.
+sim::Task<void> stream_payload(net::TcpConnection& conn, std::uint64_t bytes,
+                               sim::Executor ex) {
+  for (std::uint64_t sent = 0; sent < bytes;) {
+    auto n = static_cast<std::size_t>(
+        std::min<std::uint64_t>(1024 * 1024, bytes - sent));
+    Bytes chunk(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      chunk[i] = static_cast<std::uint8_t>((sent + i) * 131);
+    }
+    sent += n;
+    conn.send(std::move(chunk));
+    co_await sim::sleep(ex, sim::milliseconds(1));
+  }
+}
+
+}  // namespace
 
 void FtpClient::upload(const std::string& name, std::uint64_t bytes,
                        std::function<void(FtpTransferResult)> done) {
@@ -169,24 +182,8 @@ void FtpClient::upload(const std::string& name, std::uint64_t bytes,
   Bytes header =
       to_bytes("PUT " + name + " " + std::to_string(bytes) + "\n");
   conn.send(std::move(header));
-  // Stream the payload in 1 MB application writes.
-  auto sent = std::make_shared<std::uint64_t>(0);
-  auto step = std::make_shared<std::function<void()>>();
+  sim::spawn(stream_payload(conn, bytes, ex));
   auto conn_ptr = &conn;
-  *step = [conn_ptr, bytes, sent, step, ex] {
-    if (*sent >= bytes) return;
-    std::size_t n = static_cast<std::size_t>(
-        std::min<std::uint64_t>(1024 * 1024, bytes - *sent));
-    Bytes chunk(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      chunk[i] = static_cast<std::uint8_t>((*sent + i) * 131);
-    }
-    *sent += n;
-    conn_ptr->send(std::move(chunk));
-    // Pace by send-buffer drain: check back shortly.
-    ex.schedule_in(sim::milliseconds(1), [step] { (*step)(); });
-  };
-  (*step)();
 
   conn.set_on_data([done, started, bytes, ex, conn_ptr](Buf reply) {
     if (reply.empty()) return;

@@ -15,6 +15,7 @@
 
 #include "cloud/cloud.hpp"
 #include "fs/simext.hpp"
+#include "sim/task.hpp"
 
 namespace storm::workload {
 
@@ -46,8 +47,8 @@ class FtpServer {
   void on_accept(net::TcpConnection& conn);
   void on_data(std::shared_ptr<Session> session, Buf data);
   void pump_upload(std::shared_ptr<Session> session);
-  void serve_download(std::shared_ptr<Session> session,
-                      const std::string& name);
+  sim::Task<void> serve_download(std::shared_ptr<Session> session,
+                                 std::string name);
 
   cloud::Vm& vm_;
   fs::SimExt& fs_;

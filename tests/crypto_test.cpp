@@ -6,7 +6,6 @@
 #include "common/bytes.hpp"
 #include "crypto/aes.hpp"
 #include "crypto/chacha20.hpp"
-#include "crypto/sha256.hpp"
 
 namespace storm::crypto {
 namespace {
@@ -60,44 +59,6 @@ TEST(Aes, DecryptInvertsEncrypt128And256) {
 TEST(Aes, RejectsBadKeySize) {
   Bytes bad(24);  // AES-192 unsupported by design
   EXPECT_THROW(Aes cipher(bad), std::invalid_argument);
-}
-
-// --- AES-CTR: NIST SP 800-38A F.5.1 ----------------------------------------
-
-TEST(AesCtr, Sp80038aF51KnownAnswer) {
-  Bytes key = from_hex("2b7e151628aed2a6abf7158809cf4f3c");
-  Bytes iv = from_hex("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff");
-  Bytes pt = from_hex(
-      "6bc1bee22e409f96e93d7e117393172a"
-      "ae2d8a571e03ac9c9eb76fac45af8e51"
-      "30c81c46a35ce411e5fbc1191a0a52ef"
-      "f69f2445df4f9b17ad2b417be66c3710");
-  Bytes expect = from_hex(
-      "874d6191b620e3261bef6864990db6ce"
-      "9806f66b7970fdff8617187bb9fffdff"
-      "5ae4df3edbd5d35e5b4f09020db03eab"
-      "1e031dda2fbe03d1792170a0f3009cee");
-  Aes aes(key);
-  Bytes ct(pt.size());
-  aes_ctr_crypt(aes, iv.data(), pt, ct);
-  EXPECT_EQ(ct, expect);
-
-  Bytes rt(ct.size());
-  aes_ctr_crypt(aes, iv.data(), ct, rt);
-  EXPECT_EQ(rt, pt);
-}
-
-TEST(AesCtr, HandlesPartialFinalBlock) {
-  Bytes key(16, 0x42);
-  Aes aes(key);
-  std::uint8_t iv[16] = {};
-  Bytes pt = to_bytes("only 21 bytes here!!!");
-  Bytes ct(pt.size());
-  aes_ctr_crypt(aes, iv, pt, ct);
-  Bytes rt(pt.size());
-  aes_ctr_crypt(aes, iv, ct, rt);
-  EXPECT_EQ(rt, pt);
-  EXPECT_NE(ct, pt);
 }
 
 // --- AES-XTS: IEEE 1619 Vector 1 + properties -------------------------------
@@ -200,43 +161,6 @@ TEST(ChaCha20, RejectsBadKeyOrNonce) {
   Bytes key32(32), nonce11(11);
   EXPECT_THROW(chacha20_crypt(key32, nonce11, 0, buf, buf),
                std::invalid_argument);
-}
-
-// --- SHA-256 ----------------------------------------------------------------
-
-TEST(Sha256, KnownAnswers) {
-  EXPECT_EQ(digest_hex(sha256(Bytes{})),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
-  EXPECT_EQ(digest_hex(sha256(to_bytes("abc"))),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
-  EXPECT_EQ(
-      digest_hex(sha256(to_bytes(
-          "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"))),
-      "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
-}
-
-TEST(Sha256, ChunkedUpdateMatchesOneShot) {
-  Bytes data(1000);
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    data[i] = static_cast<std::uint8_t>(i);
-  }
-  Sha256 chunked;
-  std::size_t pos = 0;
-  for (std::size_t chunk : {1u, 7u, 63u, 64u, 65u, 500u, 300u}) {
-    std::size_t n = std::min(chunk, data.size() - pos);
-    chunked.update(std::span<const std::uint8_t>(data.data() + pos, n));
-    pos += n;
-  }
-  chunked.update(std::span<const std::uint8_t>(data.data() + pos,
-                                               data.size() - pos));
-  EXPECT_EQ(chunked.finish(), sha256(data));
-}
-
-TEST(Sha256, MillionAs) {
-  // FIPS 180-4 long vector: one million 'a'.
-  Bytes data(1'000'000, 'a');
-  EXPECT_EQ(digest_hex(sha256(data)),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
 }
 
 }  // namespace

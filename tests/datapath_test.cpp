@@ -11,7 +11,6 @@
 #include "core/active_relay.hpp"
 #include "core/service.hpp"
 #include "journal/log.hpp"
-#include "crypto/sha256.hpp"
 #include "iscsi/pdu.hpp"
 #include "net/flow_switch.hpp"
 #include "obs/registry.hpp"
@@ -281,7 +280,7 @@ TEST(FlowCache, EveryTableMutationInvalidatesTheCache) {
 // --- seeded determinism -----------------------------------------------------
 
 struct TransferOutcome {
-  std::string digest;
+  Bytes received;
   std::string trace;
   std::string telemetry;
 };
@@ -308,7 +307,7 @@ TransferOutcome run_seeded_transfer(std::uint64_t seed) {
   net.sim.run();
 
   TransferOutcome out;
-  out.digest = crypto::digest_hex(crypto::sha256(received));
+  out.received = std::move(received);
   out.trace = plan.trace_string();
   out.telemetry = net.sim.telemetry().to_json(/*include_spans=*/true);
   return out;
@@ -317,15 +316,14 @@ TransferOutcome run_seeded_transfer(std::uint64_t seed) {
 TEST(Determinism, SeededTransferExportsByteIdenticalTelemetry) {
   TransferOutcome first = run_seeded_transfer(0xD1CE);
   TransferOutcome second = run_seeded_transfer(0xD1CE);
-  EXPECT_EQ(first.digest, second.digest);
+  EXPECT_TRUE(first.received == second.received);
   EXPECT_EQ(first.trace, second.trace);
   EXPECT_EQ(first.telemetry, second.telemetry);
   ASSERT_FALSE(first.telemetry.empty());
   EXPECT_NE(first.telemetry.find("net.bytes_copied"), std::string::npos)
       << "copy ledger must be exported";
   // Data integrity despite induced corruption.
-  EXPECT_EQ(first.digest,
-            crypto::digest_hex(crypto::sha256(testutil::pattern_bytes(150'000))));
+  EXPECT_TRUE(first.received == testutil::pattern_bytes(150'000));
 }
 
 }  // namespace

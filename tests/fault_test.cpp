@@ -2,7 +2,7 @@
 // recovery under induced drop/corrupt/duplicate/reorder, journal
 // retention invariants, atomic-attachment rollback, and the full chaos
 // test (lossy fabric + middle-box power failure mid-workload) whose
-// event trace and data digest must be byte-identical across runs with
+// event trace and final volume image must be byte-identical across runs with
 // the same seed.
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 #include "core/active_relay.hpp"
 #include "core/platform.hpp"
 #include "journal/log.hpp"
-#include "crypto/sha256.hpp"
 #include "iscsi/pdu.hpp"
 #include "services/registry.hpp"
 #include "sim/fault.hpp"
@@ -116,7 +115,7 @@ TEST(TcpFault, RecoversFromPacketLoss) {
   sim::PacketFaultProfile profile;
   profile.drop_rate = 0.05;
   Bytes got = transfer_through(net, plan, profile, 200'000);
-  EXPECT_EQ(crypto::sha256(got), crypto::sha256(testutil::pattern_bytes(200'000)));
+  EXPECT_TRUE(got == testutil::pattern_bytes(200'000));
   EXPECT_GT(plan.dropped(), 0u);
   EXPECT_GT(net.a.tcp().retransmits(), 0u);
 }
@@ -127,7 +126,7 @@ TEST(TcpFault, ChecksumRejectsCorruptedSegments) {
   sim::PacketFaultProfile profile;
   profile.corrupt_rate = 0.05;
   Bytes got = transfer_through(net, plan, profile, 200'000);
-  EXPECT_EQ(crypto::sha256(got), crypto::sha256(testutil::pattern_bytes(200'000)));
+  EXPECT_TRUE(got == testutil::pattern_bytes(200'000));
   EXPECT_GT(plan.corrupted(), 0u);
   // Corrupted segments must be dropped by the checksum, then retransmitted.
   EXPECT_GT(net.a.tcp().checksum_drops() + net.b.tcp().checksum_drops(), 0u);
@@ -140,7 +139,7 @@ TEST(TcpFault, DuplicatesDoNotDuplicateDelivery) {
   profile.duplicate_rate = 0.1;
   Bytes got = transfer_through(net, plan, profile, 100'000);
   EXPECT_EQ(got.size(), 100'000u);
-  EXPECT_EQ(crypto::sha256(got), crypto::sha256(testutil::pattern_bytes(100'000)));
+  EXPECT_TRUE(got == testutil::pattern_bytes(100'000));
   EXPECT_GT(plan.duplicated(), 0u);
 }
 
@@ -151,7 +150,7 @@ TEST(TcpFault, ReorderingIsResequenced) {
   profile.delay_rate = 0.1;
   profile.delay_jitter = sim::milliseconds(2);
   Bytes got = transfer_through(net, plan, profile, 100'000);
-  EXPECT_EQ(crypto::sha256(got), crypto::sha256(testutil::pattern_bytes(100'000)));
+  EXPECT_TRUE(got == testutil::pattern_bytes(100'000));
   EXPECT_GT(plan.delayed(), 0u);
 }
 
@@ -164,7 +163,7 @@ TEST(TcpFault, CombinedStormStillDeliversExactly) {
   profile.duplicate_rate = 0.02;
   profile.delay_rate = 0.05;
   Bytes got = transfer_through(net, plan, profile, 300'000);
-  EXPECT_EQ(crypto::sha256(got), crypto::sha256(testutil::pattern_bytes(300'000)));
+  EXPECT_TRUE(got == testutil::pattern_bytes(300'000));
 }
 
 TEST(TcpFault, TotalLossFailsConnectionAfterRetries) {
@@ -490,7 +489,7 @@ TEST_F(PlatformFaultTest, WatermarksBoundRelayBufferingAcrossStall) {
 
 struct ChaosOutcome {
   std::string trace;
-  std::string digest;
+  Bytes image;
   std::uint64_t dropped = 0;
   std::uint64_t corrupted = 0;
   std::uint64_t replays = 0;
@@ -503,7 +502,7 @@ struct ChaosOutcome {
 /// One full chaos run: active-relay chain, 1% loss / 0.1% corruption /
 /// 0.2% duplication on every link, middle-box power failure at the
 /// workload's midpoint, restart 20 ms later. Returns the fault trace and
-/// the digest of the final volume image.
+/// the final volume image.
 ChaosOutcome run_chaos(std::uint64_t seed) {
   sim::Simulator sim;
   cloud::Cloud cloud(sim, cloud::CloudConfig{});
@@ -573,9 +572,8 @@ ChaosOutcome run_chaos(std::uint64_t seed) {
   out.retransmits = cloud.compute(0).node().tcp().retransmits();
 
   auto volume = cloud.storage(0).volumes().find_by_name("vol");
-  Bytes image = volume.value()->disk().store().read_sync(
+  out.image = volume.value()->disk().store().read_sync(
       0, kWrites * kSectors);
-  out.digest = crypto::digest_hex(crypto::sha256(image));
   return out;
 }
 
@@ -585,8 +583,8 @@ TEST(Chaos, SameSeedIsByteIdenticalAndLosesNothing) {
 
   // Determinism: same seed -> same fault trace, same final volume image.
   EXPECT_EQ(first.trace, second.trace);
-  EXPECT_EQ(first.digest, second.digest);
-  ASSERT_FALSE(first.digest.empty());
+  EXPECT_TRUE(first.image == second.image);
+  ASSERT_FALSE(first.image.empty());
 
   // Zero data loss through loss, corruption, duplication and a
   // mid-workload middle-box power failure.
@@ -607,7 +605,7 @@ TEST(Chaos, SameSeedIsByteIdenticalAndLosesNothing) {
                                           static_cast<std::uint8_t>(i + 1));
     expected.insert(expected.end(), chunk.begin(), chunk.end());
   }
-  EXPECT_EQ(first.digest, crypto::digest_hex(crypto::sha256(expected)));
+  EXPECT_TRUE(first.image == expected);
 }
 
 TEST(Chaos, DifferentSeedsProduceDifferentTracesSameData) {
@@ -615,7 +613,7 @@ TEST(Chaos, DifferentSeedsProduceDifferentTracesSameData) {
   ChaosOutcome b = run_chaos(2);
   EXPECT_NE(a.trace, b.trace);
   // Data integrity is seed-independent.
-  EXPECT_EQ(a.digest, b.digest);
+  EXPECT_TRUE(a.image == b.image);
   EXPECT_EQ(a.failed_writes, 0) << a.first_error;
   EXPECT_EQ(b.failed_writes, 0) << b.first_error;
 }

@@ -235,5 +235,79 @@ TEST(MiniDb, OltpClientsDriveServerOverNetwork) {
   EXPECT_FALSE(client1.per_second_commits().empty());
 }
 
+// Counts I/Os in flight on the device under MiniDb.
+class InFlightTap : public block::BlockDevice {
+ public:
+  explicit InFlightTap(block::BlockDevice& inner) : inner_(inner) {}
+
+  void read(std::uint64_t lba, std::uint32_t count,
+            ReadCallback done) override {
+    begin();
+    inner_.read(lba, count, [this, done](Status s, Bytes data) {
+      --in_flight_;
+      done(s, std::move(data));
+    });
+  }
+  void write(std::uint64_t lba, Bytes data, WriteCallback done) override {
+    begin();
+    inner_.write(lba, std::move(data), [this, done](Status s) {
+      --in_flight_;
+      done(s);
+    });
+  }
+  std::uint64_t num_sectors() const override { return inner_.num_sectors(); }
+
+  std::function<void()> on_first_io;
+  int max_in_flight = 0;
+
+ private:
+  void begin() {
+    max_in_flight = std::max(max_in_flight, ++in_flight_);
+    if (on_first_io) std::exchange(on_first_io, nullptr)();
+  }
+
+  block::BlockDevice& inner_;
+  int in_flight_ = 0;
+};
+
+TEST(MiniDb, ServerRunsOneTransactionPerConnectionAtATime) {
+  // A client pipelines a second request line, in its own segment, while
+  // the first transaction is still in flight. The connection's worker
+  // must queue it: one transaction per connection at a time, so the
+  // transaction's I/Os never overlap.
+  sim::Simulator sim;
+  cloud::Cloud cloud(sim, cloud::CloudConfig{});
+  cloud::Vm& db_vm = cloud.create_vm("db", "alice", 0);
+  ASSERT_TRUE(cloud.create_volume("dbvol", 40'000).is_ok());
+  Status status = error(ErrorCode::kIoError, "unset");
+  cloud.attach_volume(db_vm, "dbvol",
+                      [&](Status s, cloud::Attachment) { status = s; });
+  sim.run();
+  ASSERT_TRUE(status.is_ok());
+
+  InFlightTap tap(*db_vm.disk());
+  MiniDb db(sim, tap);
+  db.init([](Status s) { ASSERT_TRUE(s.is_ok()); });
+  sim.run();
+  tap.max_in_flight = 0;
+  DbServer server(db_vm, db);
+  server.start();
+
+  cloud::Vm& client = cloud.create_vm("c1", "alice", 1);
+  auto& conn =
+      client.node().tcp().connect(net::SocketAddr{db_vm.ip(), 3306}, [] {});
+  int replies = 0;
+  conn.set_on_data([&](Buf data) {
+    for (std::uint8_t byte : data) replies += byte == '\n' ? 1 : 0;
+  });
+  conn.send(to_bytes("TXN\n"));
+  tap.on_first_io = [&] { conn.send(to_bytes("TXN\n")); };
+  sim.run();
+  EXPECT_EQ(replies, 2);
+  EXPECT_EQ(server.requests_served(), 2u);
+  EXPECT_EQ(db.committed(), 2u);
+  EXPECT_EQ(tap.max_in_flight, 1);
+}
+
 }  // namespace
 }  // namespace storm::workload
