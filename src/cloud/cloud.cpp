@@ -134,33 +134,27 @@ Cloud::Cloud(sim::Simulator& simulator, CloudConfig config)
 
 // ------------------------------------------------------------- placement
 
-// Deterministic host → partition mapping (PlacementPolicy doc in the
-// header): a pure function of (policy, partition count, host counts), so
-// two runs of the same topology always place identically.
+// Deterministic host → partition mapping (doc in the header): a pure
+// function of (partition count, host counts), so two runs of the same
+// topology always place identically.
 
 std::uint32_t Cloud::host_partition(unsigned index) const {
   const std::uint32_t parts = sim_.partition_count();
-  if (parts <= 1 || config_.placement == PlacementPolicy::kPartition0) {
-    return 0;
-  }
+  if (parts <= 1) return 0;
   const std::uint32_t data = parts - 1;
   return 1 + (index % data);
 }
 
 std::uint32_t Cloud::storage_partition(unsigned index) const {
   const std::uint32_t parts = sim_.partition_count();
-  if (parts <= 1 || config_.placement == PlacementPolicy::kPartition0) {
-    return 0;
-  }
+  if (parts <= 1) return 0;
   const std::uint32_t data = parts - 1;
   return 1 + ((config_.compute_hosts + index) % data);
 }
 
 std::uint32_t Cloud::gateway_partition(unsigned ordinal) const {
   const std::uint32_t parts = sim_.partition_count();
-  if (parts <= 1 || config_.placement == PlacementPolicy::kPartition0) {
-    return 0;
-  }
+  if (parts <= 1) return 0;
   const std::uint32_t data = parts - 1;
   return 1 + (ordinal % data);
 }

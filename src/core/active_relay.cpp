@@ -16,6 +16,7 @@ ActiveRelay::ActiveRelay(cloud::Vm& mb_vm, net::SocketAddr upstream,
     : vm_(mb_vm), upstream_(upstream), services_(std::move(services)),
       volume_(std::move(volume)), costs_(costs), flow_(flow),
       scope_(telemetry().scope("relay." + vm_.name() + ".")),
+      hop_(vm_.name()),
       journal_dev_(mb_vm.node().executor(),
                    telemetry().scope("relay." + vm_.name() + ".journal."),
                    journal_config) {
@@ -181,43 +182,14 @@ void ActiveRelay::on_stream_data(Session& session, Direction dir,
   update_journal_gauge();
   const sim::Time now = vm_.node().executor().now();
   for (auto& pdu : pdus) {
-    trace_pdu(session, dir, pdu, st.queue.size());
+    trace_relay_pdu(telemetry(), session.trace_session, hop_, dir, pdu,
+                    st.queue.size());
     const std::size_t wire = iscsi::serialized_size(pdu);
     st.queue_bytes += wire;
     st.queue.push_back(QueuedPdu{now, wire, std::move(pdu)});
   }
   update_backpressure(session, dir);
   pump_queue(session, dir);
-}
-
-// Stamp the command's trace: an event on the root command span (value =
-// relay queue depth at arrival) at every hop, a child span "relay.<vm>"
-// opened when the command enters and closed when its final response
-// leaves toward the initiator.
-void ActiveRelay::trace_pdu(Session& session, Direction dir,
-                            const iscsi::Pdu& pdu, std::size_t queue_depth) {
-  if (pdu.opcode != iscsi::Opcode::kScsiCommand &&
-      pdu.opcode != iscsi::Opcode::kScsiResponse) {
-    return;
-  }
-  obs::Registry& reg = telemetry();
-  const std::string key =
-      obs::command_trace_key(session.bind_port, pdu.task_tag);
-  const obs::SpanId root = reg.lookup(key);
-  if (root == 0) return;
-  if (dir == Direction::kToTarget &&
-      pdu.opcode == iscsi::Opcode::kScsiCommand) {
-    reg.add_event(root, "mb." + vm_.name() + ".cmd", queue_depth);
-    cmd_spans_[key] = reg.begin_span("relay." + vm_.name(), root);
-  } else if (dir == Direction::kToInitiator &&
-             pdu.opcode == iscsi::Opcode::kScsiResponse && pdu.is_final()) {
-    reg.add_event(root, "mb." + vm_.name() + ".rsp", queue_depth);
-    auto it = cmd_spans_.find(key);
-    if (it != cmd_spans_.end()) {
-      reg.end_span(it->second);
-      cmd_spans_.erase(it);
-    }
-  }
 }
 
 void ActiveRelay::update_journal_gauge() {
@@ -303,7 +275,7 @@ void ActiveRelay::pump_queue(Session& session, Direction dir) {
     // everything that must survive). Drop it.
     if (session.epoch != epoch) return;
     if (pdu.opcode == iscsi::Opcode::kLoginRequest) {
-      session.login_pdu = pdu;  // kept for session re-establishment
+      session.set_login(pdu);
     }
     bool consume = false;
     sim::Duration service_cost = 0;
@@ -549,7 +521,7 @@ void ActiveRelay::adopt_sessions(RelayJournalSnapshot snapshot) {
     Session* raw = session.get();
     raw->bind_port = image.bind_port;
     raw->ctx = std::make_unique<SessionContext>(*this, *raw);
-    raw->login_pdu = std::move(image.login_pdu);
+    if (image.login_pdu) raw->set_login(std::move(*image.login_pdu));
     raw->to_target.journal = journal::Stream(journal_dev_);
     raw->to_initiator.journal = journal::Stream(journal_dev_);
     // Seed the journal with the dead relay's unacknowledged tail; the

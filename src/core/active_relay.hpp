@@ -233,12 +233,18 @@ class ActiveRelay {
     DirectionState to_initiator;
     std::unique_ptr<SessionContext> ctx;
     std::optional<iscsi::Pdu> login_pdu;  // kept for session re-establishment
+    std::uint64_t trace_session = 0;      // obs::session_id of its IQN
     std::uint16_t bind_port = 0;
     bool failed = false;
     // Bumped on every crash/resume. CPU-scheduled PDU callbacks from
     // before the reset compare epochs and drop themselves, so stale work
     // cannot pollute the resumed session's journal or backlog.
     std::uint64_t epoch = 0;
+
+    void set_login(iscsi::Pdu login) {
+      trace_session = obs::session_id(iscsi::login_iqn(login));
+      login_pdu = std::move(login);
+    }
   };
 
   const std::string& flow_volume(std::uint16_t bind_port) const {
@@ -260,8 +266,6 @@ class ActiveRelay {
   void forward(Session& session, Direction dir, const iscsi::Pdu& pdu);
   void send_downstream(Session& session, const BufChain& wire);
   void send_upstream(Session& session, const BufChain& wire);
-  void trace_pdu(Session& session, Direction dir, const iscsi::Pdu& pdu,
-                 std::size_t queue_depth);
   void update_journal_gauge();
   void update_backpressure(Session& session, Direction dir);
   obs::Registry& telemetry();
@@ -279,6 +283,7 @@ class ActiveRelay {
   RelayFlowControl flow_;
   std::size_t peak_buffered_ = 0;
   obs::Scope scope_;  // "relay.<mb-vm>."
+  obs::Hop hop_;      // this box's labels on command traces
   // Per-PDU metrics of scope_, resolved on first use.
   obs::GaugeHandle journal_bytes_gauge_{"journal_bytes"};
   obs::GaugeHandle queue_bytes_gauge_{"queue_bytes"};
@@ -291,10 +296,6 @@ class ActiveRelay {
   obs::HistogramHandle pdu_ns_{"pdu_ns"};
   journal::Device journal_dev_;  // shared log, one per relay VM
   std::vector<std::unique_ptr<Session>> sessions_;
-  // Open per-command child spans ("relay.<mb-vm>"), keyed by the
-  // command's trace key; closed when the final SCSI response passes
-  // back through toward the initiator.
-  std::map<std::string, obs::SpanId> cmd_spans_;
   std::uint64_t pdus_relayed_ = 0;
   std::uint64_t journal_replays_ = 0;
   bool crashed_ = false;

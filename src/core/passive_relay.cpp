@@ -9,11 +9,13 @@ namespace storm::core {
 
 PassiveRelay::PassiveRelay(cloud::Vm& mb_vm,
                            std::vector<StorageService*> services,
-                           std::string volume, PassiveRelayCosts costs)
+                           std::string volume, std::string_view iqn,
+                           PassiveRelayCosts costs)
     : vm_(mb_vm), services_(std::move(services)),
       volume_(std::move(volume)), costs_(costs),
       scope_(mb_vm.node().executor().telemetry().scope("relay." +
                                                         mb_vm.name() + ".")),
+      hop_(mb_vm.name()), trace_session_(obs::session_id(iqn)),
       ctx_(std::make_unique<HookContext>(*this)) {
   for (StorageService* service : services_) {
     if (service->requires_active_relay()) {
@@ -114,7 +116,8 @@ void PassiveRelay::pump(const net::FourTuple& key) {
     for (auto& pdu : pdus) {
       ++pdus_;
       scope_.counter("pdus_processed").add();
-      trace_pdu(key, dir, pdu);
+      trace_relay_pdu(vm_.node().executor().telemetry(), trace_session_,
+                      hop_, dir, pdu, streams_.size());
       std::size_t before = iscsi::serialized_size(pdu);
       if (dir == Direction::kToTarget) {
         for (StorageService* service : services_) {
@@ -144,38 +147,6 @@ void PassiveRelay::pump(const net::FourTuple& key) {
       finish();
     }
   });
-}
-
-// Stamp the command's trace exactly like the active relay does: an event
-// on the root command span per hop plus a "relay.<vm>" child span
-// covering the command's dwell inside this box. The flow's preserved
-// source port sits on the initiator side of the four-tuple.
-void PassiveRelay::trace_pdu(const net::FourTuple& key, Direction dir,
-                             const iscsi::Pdu& pdu) {
-  if (pdu.opcode != iscsi::Opcode::kScsiCommand &&
-      pdu.opcode != iscsi::Opcode::kScsiResponse) {
-    return;
-  }
-  obs::Registry& reg = vm_.node().executor().telemetry();
-  const std::uint16_t source_port =
-      dir == Direction::kToTarget ? key.src.port : key.dst.port;
-  const std::string trace_key =
-      obs::command_trace_key(source_port, pdu.task_tag);
-  const obs::SpanId root = reg.lookup(trace_key);
-  if (root == 0) return;
-  if (dir == Direction::kToTarget &&
-      pdu.opcode == iscsi::Opcode::kScsiCommand) {
-    reg.add_event(root, "mb." + vm_.name() + ".cmd", streams_.size());
-    cmd_spans_[trace_key] = reg.begin_span("relay." + vm_.name(), root);
-  } else if (dir == Direction::kToInitiator &&
-             pdu.opcode == iscsi::Opcode::kScsiResponse && pdu.is_final()) {
-    reg.add_event(root, "mb." + vm_.name() + ".rsp", streams_.size());
-    auto it = cmd_spans_.find(trace_key);
-    if (it != cmd_spans_.end()) {
-      reg.end_span(it->second);
-      cmd_spans_.erase(it);
-    }
-  }
 }
 
 void PassiveRelay::drain(StreamState& state) {

@@ -13,6 +13,7 @@
 #include <deque>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cloud/cloud.hpp"
@@ -32,8 +33,11 @@ struct PassiveRelayCosts {
 
 class PassiveRelay {
  public:
+  /// `iqn` is the protected volume's: it names the flow's commands on
+  /// their traces.
   PassiveRelay(cloud::Vm& mb_vm, std::vector<StorageService*> services,
-               std::string volume = {}, PassiveRelayCosts costs = {});
+               std::string volume, std::string_view iqn,
+               PassiveRelayCosts costs = {});
 
   PassiveRelay(const PassiveRelay&) = delete;
   PassiveRelay& operator=(const PassiveRelay&) = delete;
@@ -102,18 +106,15 @@ class PassiveRelay {
   void pump(const net::FourTuple& key);
   void drain(StreamState& state);
   void account_inbox(std::ptrdiff_t delta);
-  void trace_pdu(const net::FourTuple& key, Direction dir,
-                 const iscsi::Pdu& pdu);
 
   cloud::Vm& vm_;
   std::vector<StorageService*> services_;
   std::string volume_;
   PassiveRelayCosts costs_;
   obs::Scope scope_;  // "relay.<mb-vm>."
+  obs::Hop hop_;      // this box's labels on command traces
+  std::uint64_t trace_session_;  // obs::session_id(iqn)
   std::map<net::FourTuple, StreamState> streams_;
-  // Open per-command child spans, keyed by trace key; closed when the
-  // final SCSI response is rewritten on its way back to the initiator.
-  std::map<std::string, obs::SpanId> cmd_spans_;
   std::unique_ptr<HookContext> ctx_;
   std::uint64_t packets_ = 0;
   std::uint64_t pdus_ = 0;

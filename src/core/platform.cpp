@@ -238,29 +238,26 @@ RelayFlowControl relay_flow_control(const ServiceSpec& spec) {
   return flow;
 }
 
-// Tenant-tunable journal engine knobs, also from the service stanza:
-// `journal_segment_kb` sizes log segments, `journal_group_commit=0`
-// falls back to one NVRAM write per record (the bench baseline), and
-// `journal_checkpoint_kb` sets the dead-byte threshold that triggers an
-// automatic checkpoint (0 = explicit checkpoints only).
+// Tenant-tunable journal segment size, also from the service stanza
+// (`journal_segment_kb`); the other engine knobs keep their defaults.
 journal::Config relay_journal_config(const ServiceSpec& spec) {
   journal::Config config;
   const std::string seg = spec.param("journal_segment_kb");
   if (!seg.empty()) {
     config.segment_bytes = std::stoul(seg) * 1024;
   }
-  const std::string group = spec.param("journal_group_commit");
-  if (!group.empty()) {
-    config.group_commit = group != "0";
-  }
-  const std::string ckpt = spec.param("journal_checkpoint_kb");
-  if (!ckpt.empty()) {
-    config.checkpoint_dead_bytes = std::stoul(ckpt) * 1024;
-  }
   return config;
 }
 
 }  // namespace
+
+void StormPlatform::start_passive_relay(MiddleboxInstance& box,
+                                        const Deployment& deployment) {
+  box.passive_relay = std::make_unique<PassiveRelay>(
+      *box.vm, std::vector<StorageService*>{box.service.get()},
+      deployment.volume, deployment.iqn);
+  box.passive_relay->start();
+}
 
 void StormPlatform::wire_relays(Deployment& deployment) {
   net::SocketAddr upstream{deployment.splice.gateways.egress_instance_ip(),
@@ -271,10 +268,7 @@ void StormPlatform::wire_relays(Deployment& deployment) {
       case RelayMode::kForward:
         break;  // plain IP forwarding, nothing to run
       case RelayMode::kPassive:
-        box->passive_relay = std::make_unique<PassiveRelay>(
-            *box->vm, std::vector<StorageService*>{box->service.get()},
-            deployment.volume);
-        box->passive_relay->start();
+        start_passive_relay(*box, deployment);
         break;
       case RelayMode::kActive:
         box->active_relay = std::make_unique<ActiveRelay>(
@@ -748,6 +742,7 @@ void StormPlatform::attach_with_chain_at_barrier(
   Deployment* dep = deployment.get();
   dep->vm = vm_name;
   dep->volume = volume_name;
+  dep->iqn = volume->iqn();
   dep->splice.cookie = next_cookie_++;
   dep->splice.vm_port = allocate_flow_port();
   dep->splice.host_storage_ip = cloud_.compute(vm->host_index()).storage_ip();
@@ -1262,11 +1257,7 @@ Status StormPlatform::add_middlebox(Deployment& deployment,
                        vm->tenant(), vm->host_index(), nullptr);
   if (!box.is_ok()) return box.status();
   if (box.value()->spec.relay == RelayMode::kPassive) {
-    box.value()->passive_relay = std::make_unique<PassiveRelay>(
-        *box.value()->vm,
-        std::vector<StorageService*>{box.value()->service.get()},
-        deployment.volume);
-    box.value()->passive_relay->start();
+    start_passive_relay(*box.value(), deployment);
   }
   deployment.boxes.insert(
       deployment.boxes.begin() + static_cast<std::ptrdiff_t>(position),

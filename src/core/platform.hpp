@@ -81,6 +81,7 @@ enum class DeploymentState {
 struct Deployment {
   std::string vm;
   std::string volume;
+  std::string iqn;  // the volume's; passive boxes key command traces by it
   SpliceContext splice;
   cloud::Attachment attachment;
   std::vector<std::shared_ptr<MiddleboxInstance>> boxes;
@@ -282,6 +283,8 @@ class StormPlatform {
       const ServiceSpec& spec, const std::string& label,
       const std::string& tenant, unsigned vm_host, block::Volume* volume);
   void wire_relays(Deployment& deployment);
+  void start_passive_relay(MiddleboxInstance& box,
+                           const Deployment& deployment);
 
   // --- replica-set internals ---
   ReplicaSet* find_replica_set(const std::string& tenant,

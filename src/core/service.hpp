@@ -38,6 +38,23 @@ inline const char* to_string(Direction dir) {
   return dir == Direction::kToTarget ? "to-target" : "to-initiator";
 }
 
+/// Stamp a command's trace as a relay passes one of its PDUs: a SCSI
+/// command toward the target enters `hop`, and the final response toward
+/// the initiator leaves it. `session` is obs::session_id() of the
+/// session's volume IQN; `value` is the relay's queue depth.
+inline void trace_relay_pdu(obs::Registry& reg, std::uint64_t session,
+                            const obs::Hop& hop, Direction dir,
+                            const iscsi::Pdu& pdu, std::uint64_t value) {
+  const obs::CommandKey key{session, pdu.task_tag};
+  if (dir == Direction::kToTarget &&
+      pdu.opcode == iscsi::Opcode::kScsiCommand) {
+    reg.tracer().enter_hop(key, hop, reg.now(), value);
+  } else if (dir == Direction::kToInitiator &&
+             pdu.opcode == iscsi::Opcode::kScsiResponse && pdu.is_final()) {
+    reg.tracer().leave_hop(key, hop, reg.now(), value);
+  }
+}
+
 /// Per-PDU call context a relay hands to its services. Injection is only
 /// implemented by the active relay (it owns both byte streams); the
 /// passive relay rejects services that need it at deployment time and

@@ -12,35 +12,27 @@ namespace storm::iscsi {
 Initiator::Initiator(net::NetNode& node, net::SocketAddr target,
                      std::string iqn, std::uint16_t local_port)
     : node_(node), target_(target), iqn_(std::move(iqn)),
-      local_port_(local_port) {}
+      trace_session_(obs::session_id(iqn_)), local_port_(local_port) {}
 
 void Initiator::login(LoginCallback done) {
   login_cb_ = std::move(done);
   dial();
 }
 
+// The command's root span, keyed so every PDU-aware hop downstream
+// (relays, target) can stamp events onto it.
 obs::SpanId Initiator::begin_command_span(const char* kind, std::uint32_t tag,
                                           std::uint64_t bytes) {
   obs::Registry& reg = node_.executor().telemetry();
-  obs::SpanId span = reg.begin_span(kind);
-  reg.add_event(span, "issue", bytes);
-  // Bind the command's correlation key so every PDU-aware hop downstream
-  // (relays, target) can stamp events onto this root span. The source
-  // port is preserved along the whole spliced chain, so the key is
-  // derivable at every layer.
-  if (source_port_ != 0) {
-    reg.bind(obs::command_trace_key(source_port_, tag), span);
-  }
-  return span;
+  return reg.tracer().begin_command({trace_session_, tag}, kind, bytes,
+                                    reg.now());
 }
 
 void Initiator::end_command_span(obs::SpanId span, std::uint32_t tag,
                                  const char* outcome) {
   if (span == 0) return;
   obs::Registry& reg = node_.executor().telemetry();
-  reg.add_event(span, outcome);
-  reg.end_span(span);
-  reg.unbind(obs::command_trace_key(source_port_, tag));
+  reg.tracer().end_command({trace_session_, tag}, span, outcome, reg.now());
 }
 
 void Initiator::update_outstanding() {

@@ -178,6 +178,7 @@ class Initiator {
   net::NetNode& node_;
   net::SocketAddr target_;
   std::string iqn_;
+  std::uint64_t trace_session_;  // obs::session_id(iqn_)
   std::uint16_t local_port_ = 0;
   net::TcpConnection* conn_ = nullptr;
   StreamParser parser_;

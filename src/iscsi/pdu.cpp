@@ -1,7 +1,5 @@
 #include "iscsi/pdu.hpp"
 
-#include <sstream>
-
 #include "common/hash.hpp"
 
 namespace storm::iscsi {
@@ -21,18 +19,6 @@ const char* to_string(Opcode op) {
     case Opcode::kReject: return "Reject";
   }
   return "Unknown";
-}
-
-std::string Pdu::summary() const {
-  std::ostringstream out;
-  out << to_string(opcode) << " tag=" << task_tag;
-  if (opcode == Opcode::kScsiCommand) {
-    out << (is_read() ? " READ" : " WRITE") << " lba=" << lba
-        << " len=" << transfer_length;
-  }
-  if (!data.empty()) out << " data=" << data.size() << "B@" << data_offset;
-  if (is_final()) out << " F";
-  return out.str();
 }
 
 // Body layout: 4 one-byte fields, task_tag(4), lba(8), transfer_length(4),
@@ -241,6 +227,12 @@ Pdu make_login_request(const std::string& iqn) {
   pdu.text = "iqn=" + iqn;
   pdu.flags = kFlagFinal;
   return pdu;
+}
+
+std::string_view login_iqn(const Pdu& login) {
+  std::string_view text = login.text;
+  if (text.starts_with("iqn=")) text.remove_prefix(4);
+  return text;
 }
 
 Pdu make_login_response(std::uint8_t status) {

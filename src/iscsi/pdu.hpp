@@ -12,6 +12,7 @@
 #include <deque>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/buf.hpp"
@@ -66,8 +67,6 @@ struct Pdu {
 
   bool is_final() const { return flags & kFlagFinal; }
   bool is_read() const { return flags & kFlagRead; }
-
-  std::string summary() const;
 };
 
 /// Serialized sizes (u32 length prefix included for serialized_size).
@@ -119,6 +118,8 @@ class StreamParser {
 
 // Convenience constructors for the PDUs the data path uses.
 Pdu make_login_request(const std::string& iqn);
+/// The IQN a login request names.
+std::string_view login_iqn(const Pdu& login);
 Pdu make_login_response(std::uint8_t status);
 Pdu make_read_command(std::uint32_t task_tag, std::uint64_t lba,
                       std::uint32_t length_bytes);

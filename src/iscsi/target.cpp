@@ -18,9 +18,8 @@ void Target::start() {
 void Target::trace_event(const Session& session, std::uint32_t tag,
                          const char* label, std::uint64_t value) {
   obs::Registry& reg = node_.executor().telemetry();
-  obs::SpanId root =
-      reg.lookup(obs::command_trace_key(session.src_port, tag));
-  if (root != 0) reg.add_event(root, label, value);
+  reg.tracer().command_event({session.trace_session, tag}, label, reg.now(),
+                             value);
 }
 
 void Target::command_started(const Session& session, const Pdu& pdu) {
@@ -41,7 +40,6 @@ void Target::command_finished(const Session& session, std::uint32_t tag) {
 void Target::on_accept(net::TcpConnection& conn) {
   auto session = std::make_unique<Session>();
   session->conn = &conn;
-  session->src_port = conn.remote().port;
   Session* raw = session.get();
   sessions_.push_back(std::move(session));
   conn.set_on_data([this, raw](Buf bytes) { on_data(*raw, std::move(bytes)); });
@@ -64,8 +62,7 @@ void Target::on_data(Session& session, Buf bytes) {
 void Target::handle_pdu(Session& session, Pdu pdu) {
   switch (pdu.opcode) {
     case Opcode::kLoginRequest: {
-      std::string iqn = pdu.text.starts_with("iqn=") ? pdu.text.substr(4)
-                                                     : pdu.text;
+      const std::string iqn(login_iqn(pdu));
       auto volume = volumes_.find_by_iqn(iqn);
       if (!volume.is_ok()) {
         log_warn("iscsi-tgt") << "login failed for " << iqn;
@@ -73,6 +70,7 @@ void Target::handle_pdu(Session& session, Pdu pdu) {
         return;
       }
       session.iqn = iqn;
+      session.trace_session = obs::session_id(iqn);
       session.volume = volume.value();
       send_pdu(session, make_login_response(kStatusGood));
       return;

@@ -45,10 +45,7 @@ class Target {
     net::TcpConnection* conn = nullptr;
     StreamParser parser;
     std::string iqn;
-    // The flow's source port as the target sees it — preserved along the
-    // whole spliced chain, so it keys the command's root trace span.
-    // Cached at accept: the conn pointer may be gone by response time.
-    std::uint16_t src_port = 0;
+    std::uint64_t trace_session = 0;  // obs::session_id(iqn), at login
     block::Volume* volume = nullptr;
     // In-progress write burst per task tag. Data-Out segments are held by
     // reference (no coalesce) and handed to the disk as a gather write.

@@ -1,7 +1,6 @@
 #include "net/flow_switch.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 #include "obs/registry.hpp"
 
@@ -16,20 +15,6 @@ bool FlowMatch::matches(int in_port_arg, const Packet& pkt) const {
   if (src_port && *src_port != pkt.tcp.src_port) return false;
   if (dst_port && *dst_port != pkt.tcp.dst_port) return false;
   return true;
-}
-
-std::string FlowMatch::to_string() const {
-  std::ostringstream out;
-  if (in_port) out << "in_port=" << *in_port << ",";
-  if (src_mac) out << "dl_src=" << storm::net::to_string(*src_mac) << ",";
-  if (dst_mac) out << "dl_dst=" << storm::net::to_string(*dst_mac) << ",";
-  if (src_ip) out << "nw_src=" << storm::net::to_string(*src_ip) << ",";
-  if (dst_ip) out << "nw_dst=" << storm::net::to_string(*dst_ip) << ",";
-  if (src_port) out << "tp_src=" << *src_port << ",";
-  if (dst_port) out << "tp_dst=" << *dst_port << ",";
-  std::string s = out.str();
-  if (!s.empty()) s.pop_back();
-  return s.empty() ? "*" : s;
 }
 
 void FlowSwitch::add_rule(FlowRule rule) {

@@ -36,7 +36,6 @@ struct NatRule {
   std::uint64_t cookie = 0;
 
   bool matches(const Packet& pkt) const;
-  std::string to_string() const;
 };
 
 class NatEngine {

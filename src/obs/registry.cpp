@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <deque>
 #include <sstream>
 
 #include "common/buf.hpp"
@@ -43,15 +42,12 @@ void append_double(std::string& out, double v) {
   out += buf;
 }
 
-// Shared renderer so the single-registry and merged exports emit exactly
-// the same shape (and stay byte-comparable between the two paths).
 std::string render_json(sim::Time now,
                         const std::map<std::string, std::uint64_t>& counters,
                         const std::map<std::string, std::int64_t>& gauges,
-                        const std::map<std::string, const Histogram*>& hists,
+                        const std::map<std::string, Histogram>& hists,
                         const std::vector<FlightRecorder::Event>& events,
-                        const std::vector<const Span*>& spans,
-                        bool include_spans) {
+                        const std::vector<Span>& spans, bool include_spans) {
   std::string out;
   out += "{\n  \"sim_time_ns\": " + std::to_string(now);
 
@@ -81,15 +77,15 @@ std::string render_json(sim::Time now,
     out += first ? "\n    " : ",\n    ";
     first = false;
     append_json_string(out, name);
-    out += ": {\"count\": " + std::to_string(hist->count());
-    out += ", \"sum\": " + std::to_string(hist->sum());
-    out += ", \"min\": " + std::to_string(hist->min());
-    out += ", \"max\": " + std::to_string(hist->max());
+    out += ": {\"count\": " + std::to_string(hist.count());
+    out += ", \"sum\": " + std::to_string(hist.sum());
+    out += ", \"min\": " + std::to_string(hist.min());
+    out += ", \"max\": " + std::to_string(hist.max());
     out += ", \"mean\": ";
-    append_double(out, hist->mean());
+    append_double(out, hist.mean());
     for (double p : {50.0, 90.0, 99.0}) {
       out += ", \"p" + std::to_string(static_cast<int>(p)) + "\": ";
-      append_double(out, hist->percentile(p));
+      append_double(out, hist.percentile(p));
     }
     out += "}";
   }
@@ -109,21 +105,21 @@ std::string render_json(sim::Time now,
   if (include_spans) {
     out += ",\n  \"spans\": [";
     first = true;
-    for (const Span* span : spans) {
+    for (const Span& span : spans) {
       out += first ? "\n    " : ",\n    ";
       first = false;
-      out += "{\"id\": " + std::to_string(span->id);
-      out += ", \"parent\": " + std::to_string(span->parent);
+      out += "{\"id\": " + std::to_string(span.id);
+      out += ", \"parent\": " + std::to_string(span.parent);
       out += ", \"name\": ";
-      append_json_string(out, span->name);
-      out += ", \"start\": " + std::to_string(span->start);
+      append_json_string(out, span.name);
+      out += ", \"start\": " + std::to_string(span.start);
       out +=
-          ", \"end\": " + std::to_string(span->ended ? span->end : span->start);
+          ", \"end\": " + std::to_string(span.ended ? span.end : span.start);
       out += ", \"ended\": ";
-      out += span->ended ? "true" : "false";
+      out += span.ended ? "true" : "false";
       out += ", \"events\": [";
       bool first_event = true;
-      for (const SpanEvent& event : span->events) {
+      for (const SpanEvent& event : span.events) {
         out += first_event ? "" : ", ";
         first_event = false;
         out += "{\"label\": ";
@@ -161,11 +157,7 @@ Histogram& Scope::histogram(const std::string& name) const {
 }
 
 Registry::Registry(sim::Executor executor)
-    : exec_(executor), copy_baseline_(bufstats::bytes_copied()) {
-  // Pre-register so the counter appears (as 0) even in dumps taken
-  // before any payload byte was copied.
-  counter("net.bytes_copied");
-}
+    : exec_(executor), copy_baseline_(bufstats::bytes_copied()) {}
 
 Counter& Registry::counter(const std::string& name) {
   auto& slot = counters_[name];
@@ -201,38 +193,22 @@ void Registry::record_event(std::string what) {
   recorder_.record(exec_.now(), std::move(what));
 }
 
-std::string Registry::to_json(bool include_spans) {
-  // Sync the data-path copy tally: counters only add, so bring the
-  // exported counter up to the current delta.
-  Counter& copied = counter("net.bytes_copied");
-  const std::uint64_t delta = bufstats::bytes_copied() - copy_baseline_;
-  if (delta > copied.value()) copied.add(delta - copied.value());
-
-  std::map<std::string, std::uint64_t> counters;
-  for (const auto& [name, counter_ptr] : counters_) {
-    counters[name] = counter_ptr->value();
-  }
-  std::map<std::string, std::int64_t> gauges;
-  for (const auto& [name, gauge] : gauges_) gauges[name] = gauge->value();
-  std::map<std::string, const Histogram*> hists;
-  for (const auto& [name, hist] : histograms_) hists[name] = hist.get();
-  std::vector<const Span*> spans;
-  for (const Span& span : tracer_.spans()) spans.push_back(&span);
-  return render_json(exec_.now(), counters, gauges, hists, recorder_.events(),
-                     spans, include_spans);
+std::string Registry::to_json(bool include_spans) const {
+  return merged_json({this}, now(), bufstats::bytes_copied() - copy_baseline_,
+                     include_spans);
 }
 
-std::string Registry::merged_json(const std::vector<Registry*>& registries,
-                                  sim::Time now, std::uint64_t copied_bytes,
-                                  bool include_spans) {
+std::string Registry::merged_json(
+    const std::vector<const Registry*>& registries, sim::Time now,
+    std::uint64_t copied_bytes, bool include_spans) {
   std::map<std::string, std::uint64_t> counters;
   std::map<std::string, std::int64_t> gauges;
   std::map<std::string, Histogram> hists;
   std::vector<FlightRecorder::Event> events;
-  std::deque<Span> span_storage;  // stable addresses for the view below
+  std::vector<Span> spans;
   SpanId id_base = 0;
 
-  for (Registry* reg : registries) {
+  for (const Registry* reg : registries) {
     for (const auto& [name, counter] : reg->counters_) {
       counters[name] += counter->value();
     }
@@ -250,14 +226,13 @@ std::string Registry::merged_json(const std::vector<Registry*>& registries,
         Span copy = span;
         copy.id += id_base;
         if (copy.parent != 0) copy.parent += id_base;
-        span_storage.push_back(std::move(copy));
+        spans.push_back(std::move(copy));
       }
       id_base += reg->tracer_.spans_started();
     }
   }
   // The per-process copy tally cannot be split per partition; the
-  // coordinator supplies its own delta (and the per-registry synced
-  // values, if any, are discarded rather than double-counted).
+  // caller supplies its own delta.
   counters["net.bytes_copied"] = copied_bytes;
 
   // Interleave flight-recorder entries by sim-time; stable_sort keeps
@@ -268,18 +243,8 @@ std::string Registry::merged_json(const std::vector<Registry*>& registries,
         return a.at < b.at;
       });
 
-  std::map<std::string, const Histogram*> hist_view;
-  for (const auto& [name, hist] : hists) hist_view[name] = &hist;
-  std::vector<const Span*> span_view;
-  for (const Span& span : span_storage) span_view.push_back(&span);
-  return render_json(now, counters, gauges, hist_view, events, span_view,
+  return render_json(now, counters, gauges, hists, events, spans,
                      include_spans);
-}
-
-std::string command_trace_key(std::uint16_t source_port,
-                              std::uint32_t task_tag) {
-  return "cmd:" + std::to_string(source_port) + ":" +
-         std::to_string(task_tag);
 }
 
 }  // namespace storm::obs

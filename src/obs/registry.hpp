@@ -67,9 +67,6 @@ class Registry {
   SpanId begin_span(std::string name, SpanId parent = 0);
   void add_event(SpanId id, std::string label, std::uint64_t value = 0);
   void end_span(SpanId id);
-  void bind(const std::string& key, SpanId id) { tracer_.bind(key, id); }
-  SpanId lookup(const std::string& key) const { return tracer_.lookup(key); }
-  void unbind(const std::string& key) { tracer_.unbind(key); }
   Tracer& tracer() { return tracer_; }
   const Tracer& tracer() const { return tracer_; }
 
@@ -85,15 +82,15 @@ class Registry {
   /// Machine-readable dump: counters, gauges, histogram summaries, the
   /// flight-recorder tail, and (optionally) every retained span. Keys
   /// are emitted in name order, values in sim-time units — deterministic
-  /// for identically seeded runs. Non-const: it first syncs the
-  /// "net.bytes_copied" counter from the process-wide buffer-copy
-  /// tally (delta since this Registry was constructed, so concurrent
-  /// simulations in one process don't bleed into each other).
-  std::string to_json(bool include_spans = false);
+  /// for identically seeded runs. This registry's merged_json(); the
+  /// "net.bytes_copied" counter is the process-wide buffer-copy tally
+  /// since this Registry was constructed, so concurrent simulations in
+  /// one process don't bleed into each other.
+  std::string to_json(bool include_spans = false) const;
 
   /// Deterministic multi-registry export: merge `registries` **in the
-  /// given (partition-id) order** into one dump with the same shape as
-  /// to_json(). Counters and gauges sum, histograms merge bucket-wise,
+  /// given (partition-id) order** into one dump. Counters and gauges
+  /// sum, histograms merge bucket-wise,
   /// flight-recorder entries interleave by (sim-time, registry order),
   /// and spans concatenate with ids offset per registry so they stay
   /// unique. `copied_bytes` replaces the net.bytes_copied counter (the
@@ -101,9 +98,9 @@ class Registry {
   /// Because the merge order is positional — never wall clock — two
   /// identically seeded runs produce byte-identical output at any
   /// thread count.
-  static std::string merged_json(const std::vector<Registry*>& registries,
-                                 sim::Time now, std::uint64_t copied_bytes,
-                                 bool include_spans = false);
+  static std::string merged_json(
+      const std::vector<const Registry*>& registries, sim::Time now,
+      std::uint64_t copied_bytes, bool include_spans = false);
 
  private:
   sim::Executor exec_;
@@ -151,11 +148,5 @@ class MetricHandle {
 using CounterHandle = MetricHandle<Counter>;
 using GaugeHandle = MetricHandle<Gauge>;
 using HistogramHandle = MetricHandle<Histogram>;
-
-/// Correlation key for one SCSI command's trace, derivable at every
-/// PDU-aware layer: the flow's (preserved) TCP source port plus the
-/// command's initiator task tag.
-std::string command_trace_key(std::uint16_t source_port,
-                              std::uint32_t task_tag);
 
 }  // namespace storm::obs

@@ -196,7 +196,7 @@ std::string Simulator::telemetry_json(bool include_spans) {
     reg.gauge("sim.mailbox.posts")
         .set(static_cast<std::int64_t>(mailbox_posts()));
   }
-  std::vector<obs::Registry*> registries;
+  std::vector<const obs::Registry*> registries;
   for (auto& p : parts_) {
     if (p->telemetry_) registries.push_back(p->telemetry_.get());
   }

@@ -26,6 +26,13 @@ struct SweepParam {
   bool transforms_at_rest;  // data on the backend differs from plaintext
 };
 
+// Names the parameter in registered test names; without it gtest prints
+// the struct's raw bytes, a pointer included, so names change per build.
+void PrintTo(const SweepParam& param, std::ostream* os) {
+  *os << core::to_string(param.relay) << "/" << param.io_bytes << "/"
+      << param.service;
+}
+
 std::string param_name(const ::testing::TestParamInfo<SweepParam>& info) {
   std::string relay = core::to_string(info.param.relay);
   return relay + "_" + std::to_string(info.param.io_bytes / 1024) + "K_" +
@@ -186,66 +193,115 @@ TEST(HexKey, ParsesAndRejects) {
 // --- command tracing through the chain ------------------------------------------
 
 TEST(Tracing, TwoBoxChainCommandSpanCarriesBothRelays) {
+  for (core::RelayMode relay :
+       {core::RelayMode::kActive, core::RelayMode::kPassive}) {
+    SCOPED_TRACE(core::to_string(relay));
+    sim::Simulator sim;
+    cloud::Cloud cloud(sim, cloud::CloudConfig{});
+    core::StormPlatform platform(cloud);
+    services::register_builtin_services(platform);
+
+    cloud.create_vm("vm", "t", 0);
+    ASSERT_TRUE(cloud.create_volume("vol", 20'000).is_ok());
+    core::ServiceSpec a, b;
+    a.type = b.type = "noop";
+    a.relay = b.relay = relay;
+    Status status = error(ErrorCode::kIoError, "unset");
+    platform.attach_with_chain(
+        "vm", "vol", {a, b},
+        [&](Result<core::DeploymentHandle> r) { status = r.status(); });
+    sim.run();
+    ASSERT_TRUE(status.is_ok()) << status.to_string();
+
+    cloud::Vm& vm = *cloud.find_vm("vm");
+    bool ok = false;
+    vm.disk()->write(0, Bytes(8 * block::kSectorSize, 0x3C),
+                     [&](Status s) { ok = s.is_ok(); });
+    sim.run();
+    ASSERT_TRUE(ok);
+    Bytes got;
+    vm.disk()->read(0, 8, [&](Status s, Bytes d) {
+      ASSERT_TRUE(s.is_ok()) << s.to_string();
+      got = std::move(d);
+    });
+    sim.run();
+    ASSERT_EQ(got.size(), 8u * block::kSectorSize);
+
+    const obs::Tracer& tracer = sim.telemetry().tracer();
+    for (const char* name : {"cmd.write", "cmd.read"}) {
+      auto commands = tracer.spans_named(name);
+      ASSERT_FALSE(commands.empty()) << name;
+      for (const obs::Span* span : commands) {
+        ASSERT_TRUE(span->ended);
+        // Exactly one "relay.<mb-vm>" child per middle-box of the chain,
+        // each fully nested inside the command's root span.
+        auto children = tracer.children_of(span->id);
+        ASSERT_EQ(children.size(), 2u) << name;
+        for (const obs::Span* child : children) {
+          EXPECT_TRUE(child->name.starts_with("relay.")) << child->name;
+          EXPECT_TRUE(child->ended);
+          EXPECT_GE(child->start, span->start);
+          EXPECT_LE(child->end, span->end);
+        }
+        EXPECT_NE(children[0]->name, children[1]->name)
+            << "the two boxes must trace as distinct relays";
+        // The telescoping hop events reconstruct the end-to-end latency.
+        ASSERT_GE(span->events.size(), 2u);
+        EXPECT_EQ(span->events.front().label, "issue");
+        EXPECT_EQ(span->events.back().label, "complete");
+        std::uint64_t hop_sum = 0;
+        for (std::size_t i = 0; i + 1 < span->events.size(); ++i) {
+          ASSERT_GE(span->events[i + 1].at, span->events[i].at);
+          hop_sum += span->events[i + 1].at - span->events[i].at;
+        }
+        EXPECT_EQ(hop_sum, span->end - span->start);
+      }
+    }
+  }
+}
+
+TEST(Tracing, SamePortAndTagOnTwoHostsTraceSeparately) {
+  // Two LEGACY attachments on different compute hosts of one registry:
+  // every host's ephemeral ports start at the same number, so both
+  // sessions use the same source port and the same first task tag.
   sim::Simulator sim;
   cloud::Cloud cloud(sim, cloud::CloudConfig{});
-  core::StormPlatform platform(cloud);
-  services::register_builtin_services(platform);
-
-  cloud.create_vm("vm", "t", 0);
-  ASSERT_TRUE(cloud.create_volume("vol", 20'000).is_ok());
-  core::ServiceSpec a, b;
-  a.type = b.type = "noop";
-  a.relay = b.relay = core::RelayMode::kActive;
-  Status status = error(ErrorCode::kIoError, "unset");
-  platform.attach_with_chain(
-      "vm", "vol", {a, b},
-      [&](Result<core::DeploymentHandle> r) { status = r.status(); });
+  std::vector<cloud::Attachment> attachments;
+  for (unsigned host = 0; host < 2; ++host) {
+    const std::string n = std::to_string(host);
+    cloud::Vm& vm = cloud.create_vm("vm" + n, "t" + n, host);
+    ASSERT_TRUE(cloud.create_volume("vol" + n, 10'000).is_ok());
+    cloud.attach_volume(vm, "vol" + n,
+                        [&](Status s, cloud::Attachment attachment) {
+                          ASSERT_TRUE(s.is_ok()) << s.to_string();
+                          attachments.push_back(std::move(attachment));
+                        });
+  }
   sim.run();
-  ASSERT_TRUE(status.is_ok()) << status.to_string();
+  ASSERT_EQ(attachments.size(), 2u);
+  ASSERT_EQ(attachments[0].source_port, attachments[1].source_port);
 
-  cloud::Vm& vm = *cloud.find_vm("vm");
-  bool ok = false;
-  vm.disk()->write(0, Bytes(8 * block::kSectorSize, 0x3C),
-                   [&](Status s) { ok = s.is_ok(); });
+  int written = 0;
+  for (unsigned host = 0; host < 2; ++host) {
+    cloud.find_vm("vm" + std::to_string(host))
+        ->disk()
+        ->write(0, Bytes(8 * block::kSectorSize, 0x5A),
+                [&](Status s) { written += s.is_ok(); });
+  }
   sim.run();
-  ASSERT_TRUE(ok);
-  Bytes got;
-  vm.disk()->read(0, 8, [&](Status s, Bytes d) {
-    ASSERT_TRUE(s.is_ok()) << s.to_string();
-    got = std::move(d);
-  });
-  sim.run();
-  ASSERT_EQ(got.size(), 8u * block::kSectorSize);
+  ASSERT_EQ(written, 2);
 
-  const obs::Tracer& tracer = sim.telemetry().tracer();
-  for (const char* name : {"cmd.write", "cmd.read"}) {
-    auto commands = tracer.spans_named(name);
-    ASSERT_FALSE(commands.empty()) << name;
-    for (const obs::Span* span : commands) {
-      ASSERT_TRUE(span->ended);
-      // Exactly one "relay.<mb-vm>" child per middle-box of the chain,
-      // each fully nested inside the command's root span.
-      auto children = tracer.children_of(span->id);
-      ASSERT_EQ(children.size(), 2u) << name;
-      for (const obs::Span* child : children) {
-        EXPECT_TRUE(child->name.starts_with("relay.")) << child->name;
-        EXPECT_TRUE(child->ended);
-        EXPECT_GE(child->start, span->start);
-        EXPECT_LE(child->end, span->end);
-      }
-      EXPECT_NE(children[0]->name, children[1]->name)
-          << "the two boxes must trace as distinct relays";
-      // The telescoping hop events reconstruct the end-to-end latency.
-      ASSERT_GE(span->events.size(), 2u);
-      EXPECT_EQ(span->events.front().label, "issue");
-      EXPECT_EQ(span->events.back().label, "complete");
-      std::uint64_t hop_sum = 0;
-      for (std::size_t i = 0; i + 1 < span->events.size(); ++i) {
-        ASSERT_GE(span->events[i + 1].at, span->events[i].at);
-        hop_sum += span->events[i + 1].at - span->events[i].at;
-      }
-      EXPECT_EQ(hop_sum, span->end - span->start);
+  auto commands = sim.telemetry().tracer().spans_named("cmd.write");
+  ASSERT_EQ(commands.size(), 2u);
+  for (const obs::Span* span : commands) {
+    int target_cmd = 0;
+    int target_rsp = 0;
+    for (const obs::SpanEvent& event : span->events) {
+      target_cmd += event.label == "target.cmd";
+      target_rsp += event.label == "target.rsp";
     }
+    EXPECT_EQ(target_cmd, 1) << "span " << span->id;
+    EXPECT_EQ(target_rsp, 1) << "span " << span->id;
   }
 }
 

@@ -147,22 +147,49 @@ TEST(Tracer, ParentChildSpansAndEvents) {
   EXPECT_EQ(children[0]->end, sim::microseconds(8));
 }
 
-TEST(Tracer, BindLookupUnbindCorrelationKeys) {
-  sim::Simulator sim;
-  Registry& reg = sim.telemetry();
-  const std::string key = command_trace_key(40001, 7);
-  EXPECT_EQ(key, "cmd:40001:7");
-  EXPECT_EQ(reg.lookup(key), 0u) << "unbound key must resolve to no span";
+TEST(Tracer, CommandKeysBeginReplaceAndEnd) {
+  Tracer tracer;
+  const CommandKey key{session_id("iqn.test:volume-1"), 7};
+  const Hop hop("mb-1");
+  EXPECT_EQ(tracer.command(key), 0u) << "unbound key must resolve to no span";
+  // Hops and the target stamp nothing on an unbound key.
+  tracer.command_event(key, "target.cmd", 1, 0);
+  tracer.enter_hop(key, hop, 1, 0);
+  EXPECT_EQ(tracer.spans_started(), 0u);
 
-  SpanId id = reg.begin_span("cmd.read");
-  reg.bind(key, id);
-  EXPECT_EQ(reg.lookup(key), id);
-  // Rebinding (tag reuse on a later command) replaces the mapping.
-  SpanId id2 = reg.begin_span("cmd.read");
-  reg.bind(key, id2);
-  EXPECT_EQ(reg.lookup(key), id2);
-  reg.unbind(key);
-  EXPECT_EQ(reg.lookup(key), 0u);
+  SpanId id = tracer.begin_command(key, "cmd.read", 4096, 2);
+  EXPECT_EQ(tracer.command(key), id);
+  // Re-beginning a key (a later command reusing the tag) replaces it.
+  SpanId id2 = tracer.begin_command(key, "cmd.read", 512, 3);
+  EXPECT_EQ(tracer.command(key), id2);
+  // Ending the replaced command leaves the newer binding alone.
+  tracer.end_command(key, id, "failed", 4);
+  EXPECT_EQ(tracer.command(key), id2);
+  // The same tag on another session is another command.
+  const CommandKey other{session_id("iqn.test:volume-2"), 7};
+  EXPECT_EQ(tracer.command(other), 0u);
+
+  tracer.enter_hop(key, hop, 5, 2);
+  tracer.command_event(key, "target.cmd", 6, 512);
+  tracer.leave_hop(key, hop, 7, 1);
+  tracer.end_command(key, id2, "complete", 8);
+  EXPECT_EQ(tracer.command(key), 0u) << "ending a command unbinds it";
+  tracer.command_event(key, "target.rsp", 9, 0);
+
+  const Span* root = tracer.span(id2);
+  ASSERT_NE(root, nullptr);
+  EXPECT_TRUE(root->ended);
+  std::vector<std::string> labels;
+  for (const SpanEvent& event : root->events) labels.push_back(event.label);
+  EXPECT_EQ(labels, (std::vector<std::string>{"issue", "mb.mb-1.cmd",
+                                              "target.cmd", "mb.mb-1.rsp",
+                                              "complete"}));
+  auto children = tracer.children_of(id2);
+  ASSERT_EQ(children.size(), 1u);
+  EXPECT_EQ(children[0]->name, "relay.mb-1");
+  EXPECT_EQ(children[0]->start, 5u);
+  EXPECT_TRUE(children[0]->ended);
+  EXPECT_EQ(children[0]->end, 7u);
 }
 
 TEST(Tracer, RetentionCapDropsSpanDetailNotIds) {

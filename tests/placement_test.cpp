@@ -69,8 +69,8 @@ TEST(Placement, HostPartitionMappingIsDeterministicAndStable) {
   EXPECT_EQ(vm.node().executor().partition_id(), a.host_partition(1));
 }
 
-TEST(Placement, Partition0PolicyAndSinglePartitionSimDegenerate) {
-  cloud::CloudConfig config = small_config();
+TEST(Placement, SinglePartitionSimDegenerates) {
+  const cloud::CloudConfig config = small_config();
 
   // Single-partition simulator: every mapping collapses to 0.
   sim::Simulator single;
@@ -79,15 +79,6 @@ TEST(Placement, Partition0PolicyAndSinglePartitionSimDegenerate) {
     EXPECT_EQ(classic.host_partition(i), 0u);
   }
   EXPECT_EQ(classic.storage_partition(0), 0u);
-
-  // Partitioned simulator but the kPartition0 policy: same collapse.
-  config.placement = cloud::PlacementPolicy::kPartition0;
-  sim::Simulator parted(cloud::Cloud::parallel_config(config, 2));
-  cloud::Cloud pinned(parted, config);
-  for (unsigned i = 0; i < config.compute_hosts; ++i) {
-    EXPECT_EQ(pinned.host_partition(i), 0u);
-  }
-  EXPECT_EQ(pinned.storage_partition(1), 0u);
 }
 
 TEST(Placement, AutoLookaheadDerivesFromSpanningLinksWithNoViolations) {
