@@ -28,7 +28,6 @@
 #include "net/flow_switch.hpp"
 #include "net/nat.hpp"
 #include "net/packet.hpp"
-#include "obs/registry.hpp"
 #include "sim/simulator.hpp"
 
 namespace {
@@ -239,11 +238,7 @@ constexpr double kSeedCopiesPerByte = 18.0;
 
 int run_datapath_bench() {
   bench::Testbed testbed(bench::PathMode::kActive);
-  obs::Registry& reg = testbed.simulator().telemetry();
-
-  // Sync and snapshot the exported copy counter, then run the workload.
-  reg.to_json(false);
-  const std::uint64_t copied_before = reg.counter("net.bytes_copied").value();
+  const std::uint64_t copied_before = bufstats::bytes_copied();
 
   workload::FioConfig config;
   config.request_bytes = 64 * 1024;
@@ -255,9 +250,7 @@ int run_datapath_bench() {
   workload::FioResult result = testbed.run_fio(config);
   const auto wall_end = std::chrono::steady_clock::now();
 
-  reg.to_json(false);
-  const std::uint64_t copied =
-      reg.counter("net.bytes_copied").value() - copied_before;
+  const std::uint64_t copied = bufstats::bytes_copied() - copied_before;
   const std::uint64_t delivered = result.write_ops * 64ull * 1024;
   const double ratio =
       delivered ? static_cast<double>(copied) / static_cast<double>(delivered)

@@ -64,11 +64,6 @@ void Tracer::end_command(CommandKey key, SpanId root, const char* outcome,
   if (it != commands_.end() && it->second.root == root) commands_.erase(it);
 }
 
-SpanId Tracer::command(CommandKey key) const {
-  auto it = commands_.find(key);
-  return it == commands_.end() ? 0 : it->second.root;
-}
-
 void Tracer::command_event(CommandKey key, const char* label, sim::Time now,
                            std::uint64_t value) {
   if (Command* cmd = find(key)) add_event(cmd->root, label, now, value);

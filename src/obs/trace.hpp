@@ -84,8 +84,6 @@ class Tracer {
   /// names `root`.
   void end_command(CommandKey key, SpanId root, const char* outcome,
                    sim::Time now);
-  /// The root span bound to `key`, or 0.
-  SpanId command(CommandKey key) const;
   /// Target: stamp an event on the bound root span, if any.
   void command_event(CommandKey key, const char* label, sim::Time now,
                      std::uint64_t value);

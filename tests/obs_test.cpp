@@ -151,45 +151,54 @@ TEST(Tracer, CommandKeysBeginReplaceAndEnd) {
   Tracer tracer;
   const CommandKey key{session_id("iqn.test:volume-1"), 7};
   const Hop hop("mb-1");
-  EXPECT_EQ(tracer.command(key), 0u) << "unbound key must resolve to no span";
-  // Hops and the target stamp nothing on an unbound key.
+  auto labels_of = [&tracer](SpanId id) {
+    std::vector<std::string> labels;
+    for (const SpanEvent& event : tracer.span(id)->events) {
+      labels.push_back(event.label);
+    }
+    return labels;
+  };
+  // An unbound key resolves to no span: the target and hops stamp nothing.
   tracer.command_event(key, "target.cmd", 1, 0);
   tracer.enter_hop(key, hop, 1, 0);
   EXPECT_EQ(tracer.spans_started(), 0u);
 
   SpanId id = tracer.begin_command(key, "cmd.read", 4096, 2);
-  EXPECT_EQ(tracer.command(key), id);
   // Re-beginning a key (a later command reusing the tag) replaces it.
   SpanId id2 = tracer.begin_command(key, "cmd.read", 512, 3);
-  EXPECT_EQ(tracer.command(key), id2);
   // Ending the replaced command leaves the newer binding alone.
   tracer.end_command(key, id, "failed", 4);
-  EXPECT_EQ(tracer.command(key), id2);
   // The same tag on another session is another command.
   const CommandKey other{session_id("iqn.test:volume-2"), 7};
-  EXPECT_EQ(tracer.command(other), 0u);
+  tracer.command_event(other, "target.cmd", 4, 0);
 
   tracer.enter_hop(key, hop, 5, 2);
   tracer.command_event(key, "target.cmd", 6, 512);
   tracer.leave_hop(key, hop, 7, 1);
   tracer.end_command(key, id2, "complete", 8);
-  EXPECT_EQ(tracer.command(key), 0u) << "ending a command unbinds it";
+  // Ending a command unbinds it: later stamps on the key land nowhere.
   tracer.command_event(key, "target.rsp", 9, 0);
+  tracer.enter_hop(key, hop, 9, 0);
+
+  ASSERT_NE(tracer.span(id), nullptr);
+  EXPECT_TRUE(tracer.span(id)->ended);
+  EXPECT_EQ(labels_of(id), (std::vector<std::string>{"issue", "failed"}));
+  EXPECT_TRUE(tracer.children_of(id).empty());
 
   const Span* root = tracer.span(id2);
   ASSERT_NE(root, nullptr);
   EXPECT_TRUE(root->ended);
-  std::vector<std::string> labels;
-  for (const SpanEvent& event : root->events) labels.push_back(event.label);
-  EXPECT_EQ(labels, (std::vector<std::string>{"issue", "mb.mb-1.cmd",
-                                              "target.cmd", "mb.mb-1.rsp",
-                                              "complete"}));
+  EXPECT_EQ(labels_of(id2), (std::vector<std::string>{"issue", "mb.mb-1.cmd",
+                                                      "target.cmd",
+                                                      "mb.mb-1.rsp",
+                                                      "complete"}));
   auto children = tracer.children_of(id2);
   ASSERT_EQ(children.size(), 1u);
   EXPECT_EQ(children[0]->name, "relay.mb-1");
   EXPECT_EQ(children[0]->start, 5u);
   EXPECT_TRUE(children[0]->ended);
   EXPECT_EQ(children[0]->end, 7u);
+  EXPECT_EQ(tracer.spans_started(), 3u);
 }
 
 TEST(Tracer, RetentionCapDropsSpanDetailNotIds) {
