@@ -48,7 +48,8 @@ ComputeHost::ComputeHost(Cloud& cloud, unsigned index)
                                                 cloud.config().link_delay)),
       uplink_(std::make_unique<net::Link>(cloud.host_executor(index),
                                           cloud.config().instance_link_bps,
-                                          cloud.config().link_delay)) {
+                                          cloud.config().link_delay)),
+      attach_lock_(cloud.simulator()) {
   storage_link_->set_end_executor(1, cloud.control_executor());
   uplink_->set_end_executor(1, cloud.control_executor());
   cloud.storage_switch().attach(*storage_link_, 1);
@@ -235,120 +236,84 @@ Result<std::pair<block::Volume*, unsigned>> Cloud::locate_volume(
 }
 
 void Cloud::attach_volume(Vm& vm, const std::string& volume_name,
-                          std::function<void(Status, Attachment)> done,
-                          AttachHooks hooks) {
-  // Attachment is a control-plane operation: it reads volumes on the
-  // storage partitions, spins up an initiator on the host partition and
-  // mutates the hypervisor registry. Deferring to the window barrier
-  // makes all of that race-free on a partitioned topology; on a
-  // single-partition simulator at_barrier runs inline and this is
-  // byte-identical to the historical path.
-  sim_.at_barrier([this, &vm, volume_name, done = std::move(done),
-                   hooks = std::move(hooks)]() mutable {
-    unsigned host_index = vm.host_index();
-    attach_queues_[host_index].push_back(
-        PendingAttach{&vm, volume_name, std::move(done), std::move(hooks)});
-    if (!attach_in_progress_[host_index]) run_attach_queue(host_index);
-  });
+                          std::function<void(Status, Attachment)> done) {
+  sim::spawn(attach(vm, volume_name, std::move(done)));
 }
 
-void Cloud::run_attach_queue(unsigned host_index) {
-  auto& queue = attach_queues_[host_index];
-  if (queue.empty()) {
-    attach_in_progress_[host_index] = false;
-    return;
+sim::Task<> Cloud::attach(Vm& vm, std::string volume_name,
+                          std::function<void(Status, Attachment)> done) {
+  // Attachment is a control-plane operation: it reads volumes on the
+  // storage partitions, spins up an initiator on the host partition and
+  // mutates the hypervisor registry. Running at the window barrier makes
+  // all of that race-free on a partitioned topology; on a
+  // single-partition simulator the barrier is inline.
+  co_await sim::barrier(sim_);
+  // Released after `done` has run, so the next attach on this host
+  // starts after it.
+  sim::Mutex::Guard lock =
+      co_await compute(vm.host_index()).attach_lock().lock();
+  auto plan = prepare_attach(vm, volume_name);
+  if (!plan.is_ok()) {
+    done(plan.status(), {});
+    co_return;
   }
-  attach_in_progress_[host_index] = true;
-  PendingAttach pending = std::move(queue.front());
-  queue.erase(queue.begin());
-
-  // `finish` may fire from the host partition's thread (the login
-  // callback); hop to the barrier before touching control state. Inline
-  // on a single-partition simulator, where the schedule_in(0) deferral
-  // preserves the historical event order exactly.
-  auto finish = [this, host_index, done = std::move(pending.done)](
-                    Status status, Attachment attachment) {
-    sim_.at_barrier([this, host_index, done, status,
-                     attachment = std::move(attachment)]() mutable {
-      done(status, std::move(attachment));
-      if (sim_.partition_count() == 1) {
-        sim_.schedule_in(0,
-                         [this, host_index] { run_attach_queue(host_index); });
-      } else {
-        // Already quiescent at the barrier: start the next attach now.
-        run_attach_queue(host_index);
-      }
-    });
-  };
-
-  auto located = locate_volume(pending.volume);
-  if (!located.is_ok()) {
-    finish(located.status(), {});
-    return;
+  Status status = co_await login(plan.value(), 0);
+  co_await sim::barrier(sim_);
+  if (!status.is_ok()) {
+    done(status, {});
+    co_return;
   }
+  done(Status::ok(), register_attachment(plan.value()));
+}
+
+Result<Cloud::AttachPlan> Cloud::prepare_attach(
+    Vm& vm, const std::string& volume_name) {
+  auto located = locate_volume(volume_name);
+  if (!located.is_ok()) return located.status();
   block::Volume* volume = located.value().first;
-  StorageHost* owner = storage_[located.value().second].get();
   if (volume->attached()) {
-    finish(error(ErrorCode::kFailedPrecondition,
-                 "volume already attached: " + pending.volume), {});
-    return;
+    return error(ErrorCode::kFailedPrecondition,
+                 "volume already attached: " + volume_name);
   }
-
-  Vm& vm = *pending.vm;
-  ComputeHost& host = compute(host_index);
-
-  Attachment attachment;
+  AttachPlan plan{&vm, volume, {}};
+  Attachment& attachment = plan.attachment;
   attachment.vm = vm.name();
   attachment.tenant = vm.tenant();
-  attachment.volume = pending.volume;
+  attachment.volume = volume_name;
   attachment.iqn = volume->iqn();
-  attachment.host_index = host_index;
-  attachment.host_ip = host.storage_ip();
-  attachment.target_ip = owner->storage_ip();
+  attachment.host_index = vm.host_index();
+  attachment.host_ip = compute(vm.host_index()).storage_ip();
+  attachment.target_ip = storage_[located.value().second]->storage_ip();
+  return plan;
+}
 
-  attachment.source_port = pending.hooks.force_source_port;
+sim::Task<Status> Cloud::login(AttachPlan& plan, std::uint16_t source_port) {
+  Attachment& attachment = plan.attachment;
+  ComputeHost& host = compute(attachment.host_index);
+  host.initiators_.push_back(std::make_unique<iscsi::Initiator>(
+      host.node(), net::SocketAddr{attachment.target_ip, iscsi::kIscsiPort},
+      attachment.iqn, source_port));
+  iscsi::Initiator* initiator = host.initiators_.back().get();
+  Status status = co_await sim::until<Status>(
+      [initiator](auto done) { initiator->login(std::move(done)); });
+  // The patched login path exposes the TCP source port (§III-A).
+  attachment.source_port = initiator->source_port();
+  attachment.initiator = initiator;
+  co_return status;
+}
 
-  // --- atomic attachment window opens (StorM installs NAT rules here) ---
-  if (pending.hooks.before_login) {
-    pending.hooks.before_login(host, attachment);
-  }
-
-  auto initiator = std::make_unique<iscsi::Initiator>(
-      host.node(), net::SocketAddr{owner->storage_ip(), iscsi::kIscsiPort},
-      volume->iqn(), pending.hooks.force_source_port);
-  iscsi::Initiator* init_ptr = initiator.get();
-  host.initiators_.push_back(std::move(initiator));
-
-  init_ptr->login([this, finish, attachment, init_ptr, volume, &vm, &host,
-                   hooks = std::move(pending.hooks)](Status status) mutable {
-    Attachment complete = attachment;
-    // The patched login path exposes the TCP source port (§III-A).
-    complete.source_port = init_ptr->source_port();
-    complete.initiator = init_ptr;
-    // --- atomic attachment window closes (StorM removes NAT rules) ---
-    // Host-local by design: the callback fires on the host's partition,
-    // which is exactly where the NAT rules live.
-    if (hooks.after_login) hooks.after_login(host, complete);
-    if (!status.is_ok()) {
-      finish(status, {});
-      return;
-    }
-    // The registry bookkeeping crosses partitions (the volume's state
-    // lives with its storage host); hop to the barrier like finish does.
-    sim_.at_barrier([this, finish, complete, init_ptr, volume,
-                     &vm]() mutable {
-      auto disk = std::make_unique<iscsi::RemoteDisk>(
-          *init_ptr, volume->disk().num_sectors());
-      complete.disk = disk.get();
-      vm.disks_.push_back(std::move(disk));
-      volume->set_attached(true);
-      attachments_.push_back(complete);
-      log_info("cloud") << "attached " << complete.volume << " to "
-                        << complete.vm << " (iqn=" << complete.iqn
-                        << " port=" << complete.source_port << ")";
-      finish(Status::ok(), complete);
-    });
-  });
+Attachment Cloud::register_attachment(AttachPlan& plan) {
+  Attachment& attachment = plan.attachment;
+  auto disk = std::make_unique<iscsi::RemoteDisk>(
+      *attachment.initiator, plan.volume->disk().num_sectors());
+  attachment.disk = disk.get();
+  plan.vm->disks_.push_back(std::move(disk));
+  plan.volume->set_attached(true);
+  attachments_.push_back(attachment);
+  log_info("cloud") << "attached " << attachment.volume << " to "
+                    << attachment.vm << " (iqn=" << attachment.iqn
+                    << " port=" << attachment.source_port << ")";
+  return attachment;
 }
 
 Status Cloud::detach_volume(const std::string& vm,

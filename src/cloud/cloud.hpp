@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -30,6 +29,7 @@
 #include "sim/cpu.hpp"
 #include "sim/fault.hpp"
 #include "sim/simulator.hpp"
+#include "sim/task.hpp"
 
 namespace storm::cloud {
 
@@ -105,6 +105,10 @@ class ComputeHost {
   sim::Cpu& cpu() { return *cpu_; }
   unsigned index() const { return index_; }
   net::Ipv4Addr storage_ip() const { return storage_ip_; }
+  /// Serializes the volume attachments on this host (the paper's mutex):
+  /// each login runs alone, so a login-time NAT redirect cannot capture
+  /// another attach's connection.
+  sim::Mutex& attach_lock() { return attach_lock_; }
 
  private:
   friend class Cloud;
@@ -116,6 +120,7 @@ class ComputeHost {
   std::unique_ptr<net::Link> storage_link_;  // host <-> storage switch
   std::unique_ptr<net::Link> uplink_;        // ovs <-> instance backbone
   std::vector<std::unique_ptr<iscsi::Initiator>> initiators_;
+  sim::Mutex attach_lock_;
 };
 
 class StorageHost {
@@ -154,19 +159,6 @@ struct Attachment {
   std::uint16_t source_port = 0;
   iscsi::Initiator* initiator = nullptr;
   iscsi::RemoteDisk* disk = nullptr;
-};
-
-/// Hooks StorM uses to make volume attachment atomic: NAT redirect rules
-/// are installed just before the login connection opens and removed right
-/// after it is established (§III-A).
-struct AttachHooks {
-  std::function<void(ComputeHost&, const Attachment&)> before_login;
-  std::function<void(ComputeHost&, const Attachment&)> after_login;
-  /// When nonzero, the initiator binds this TCP source port. StorM pins
-  /// the port so per-flow NAT/steering rules can be installed before the
-  /// first SYN (our equivalent of the paper's patched login path, which
-  /// exposes the port to the platform).
-  std::uint16_t force_source_port = 0;
 };
 
 class Cloud {
@@ -275,13 +267,37 @@ class Cloud {
 
   /// Attach a volume to a VM: spin up a host-side initiator, log in, and
   /// expose the volume as a virtual disk. Attachments on one host are
-  /// serialized (the paper's mutex); hooks bracket the login for StorM's
-  /// atomic NAT window. On a partitioned topology the control-plane
-  /// steps run at window barriers (sim::Simulator::at_barrier); `done`
-  /// fires from barrier context and may safely touch any partition.
+  /// serialized by its attach_lock(). On a partitioned topology the
+  /// control-plane steps run at window barriers
+  /// (sim::Simulator::at_barrier); `done` fires from barrier context and
+  /// may safely touch any partition.
   void attach_volume(Vm& vm, const std::string& volume_name,
-                     std::function<void(Status, Attachment)> done,
-                     AttachHooks hooks = {});
+                     std::function<void(Status, Attachment)> done);
+
+  // --- the attach, step by step -------------------------------------
+  // attach_volume runs these in order, holding the host's attach_lock()
+  // from the check to the registry; StorM's platform runs them too, with
+  // its NAT redirect around the login (§III-A).
+
+  /// An attach between its steps.
+  struct AttachPlan {
+    Vm* vm = nullptr;
+    block::Volume* volume = nullptr;
+    Attachment attachment;  // endpoints; initiator and port after login
+  };
+  /// Check that the volume exists and is free, and fill in the
+  /// attachment's endpoints. Runs at a barrier.
+  Result<AttachPlan> prepare_attach(Vm& vm, const std::string& volume_name);
+  /// Spin up the host-side initiator and log in. A nonzero `source_port`
+  /// is bound as the TCP source port: StorM pins it so per-flow rules can
+  /// be installed before the first SYN (our equivalent of the paper's
+  /// patched login path, which exposes the port to the platform).
+  /// Resumes in the login completion, on the host's partition.
+  sim::Task<Status> login(AttachPlan& plan, std::uint16_t source_port);
+  /// Expose the logged-in volume to the VM and record the attachment in
+  /// the hypervisor registry. Runs at a barrier: the volume's state lives
+  /// with its storage host.
+  Attachment register_attachment(AttachPlan& plan);
 
   /// Release an attachment: close any surviving sessions for its IQN,
   /// drop the hypervisor registry row, and mark the volume free for a
@@ -316,7 +332,8 @@ class Cloud {
   friend class ComputeHost;
   friend class StorageHost;
 
-  void run_attach_queue(unsigned host_index);
+  sim::Task<> attach(Vm& vm, std::string volume_name,
+                     std::function<void(Status, Attachment)> done);
 
   /// Track a link under `label` and apply the current fault plan to it.
   void register_link(net::Link& link, std::string label);
@@ -347,14 +364,6 @@ class Cloud {
   std::vector<std::pair<net::Link*, std::string>> links_;
 
   std::vector<Attachment> attachments_;
-  struct PendingAttach {
-    Vm* vm;
-    std::string volume;
-    std::function<void(Status, Attachment)> done;
-    AttachHooks hooks;
-  };
-  std::map<unsigned, std::vector<PendingAttach>> attach_queues_;
-  std::map<unsigned, bool> attach_in_progress_;
 
   std::uint64_t next_mac_ = 0x020000000001ull;  // locally administered
   std::uint32_t next_vm_ip_ = 0;

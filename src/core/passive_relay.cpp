@@ -45,8 +45,8 @@ void PassiveRelay::start() {
 
 bool PassiveRelay::on_packet(net::Packet& pkt) {
   ++packets_;
-  scope_.counter("packets_hooked").add();
-  scope_.counter("copied_bytes").add(2 * pkt.payload.size());
+  packets_hooked_counter_.in(scope_).add();
+  copied_bytes_.in(scope_).add(2 * pkt.payload.size());
   // Pure ACKs / control segments: pay the hook cost, then continue on
   // their way. Reordering a bare ACK ahead of held data is harmless.
   if (pkt.payload.empty()) {
@@ -71,10 +71,9 @@ void PassiveRelay::account_inbox(std::ptrdiff_t delta) {
       static_cast<std::ptrdiff_t>(inbox_bytes_) + delta);
   if (inbox_bytes_ > peak_inbox_bytes_) {
     peak_inbox_bytes_ = inbox_bytes_;
-    scope_.gauge("queue_bytes_peak")
-        .set(static_cast<std::int64_t>(inbox_bytes_));
+    queue_peak_gauge_.in(scope_).set(static_cast<std::int64_t>(inbox_bytes_));
   }
-  scope_.gauge("queue_bytes").set(static_cast<std::int64_t>(inbox_bytes_));
+  queue_bytes_gauge_.in(scope_).set(static_cast<std::int64_t>(inbox_bytes_));
 }
 
 void PassiveRelay::pump(const net::FourTuple& key) {
@@ -115,7 +114,7 @@ void PassiveRelay::pump(const net::FourTuple& key) {
     sim::Duration service_cost = 0;
     for (auto& pdu : pdus) {
       ++pdus_;
-      scope_.counter("pdus_processed").add();
+      pdus_processed_counter_.in(scope_).add();
       trace_relay_pdu(vm_.node().executor().telemetry(), trace_session_,
                       hop_, dir, pdu, streams_.size());
       std::size_t before = iscsi::serialized_size(pdu);

@@ -120,6 +120,12 @@ class PassiveRelay {
   std::uint64_t pdus_ = 0;
   std::size_t inbox_bytes_ = 0;
   std::size_t peak_inbox_bytes_ = 0;
+  // Hot-path metrics in scope_, resolved on first use.
+  obs::CounterHandle packets_hooked_counter_{"packets_hooked"};
+  obs::CounterHandle copied_bytes_{"copied_bytes"};
+  obs::CounterHandle pdus_processed_counter_{"pdus_processed"};
+  obs::GaugeHandle queue_bytes_gauge_{"queue_bytes"};
+  obs::GaugeHandle queue_peak_gauge_{"queue_bytes_peak"};
 };
 
 }  // namespace storm::core

@@ -19,6 +19,11 @@ class NoopService : public StorageService {
   }
 };
 
+// Drain poll cadence (detach and flow migration): fine-grained enough that
+// a drain adds at most ~100us to a teardown, coarse enough not to
+// dominate the event queue.
+constexpr sim::Duration kDrainPollInterval = sim::microseconds(100);
+
 }  // namespace
 
 // -------------------------------------------------------- DeploymentHandle
@@ -383,9 +388,7 @@ Result<std::shared_ptr<MiddleboxInstance>> StormPlatform::build_replica(
 
 Result<std::shared_ptr<MiddleboxInstance>> StormPlatform::acquire_replica(
     Deployment& dep, const ServiceSpec& spec, const std::string& tenant,
-    unsigned vm_host, block::Volume* volume,
-    std::vector<StorageService*>* fresh_services) {
-  (void)volume;
+    unsigned vm_host, std::vector<StorageService*>* fresh_services) {
   if (spec.relay != RelayMode::kActive) {
     return error(ErrorCode::kInvalidArgument,
                  "replicas stanza requires relay=active");
@@ -436,20 +439,16 @@ void StormPlatform::release_replica_flows(Deployment& dep) {
   }
 }
 
-void StormPlatform::migrate_flow(Deployment& dep, std::size_t position,
-                                 std::shared_ptr<MiddleboxInstance> target,
-                                 std::function<void(Status)> done) {
-  std::shared_ptr<MiddleboxInstance> source = dep.boxes[position];
-  if (source == target) {
-    done(Status::ok());
-    return;
-  }
-  iscsi::Initiator* initiator = dep.attachment.initiator;
+sim::Task<Status> StormPlatform::migrate_flow(
+    Deployment* dep, std::size_t position,
+    std::shared_ptr<MiddleboxInstance> target) {
+  std::shared_ptr<MiddleboxInstance> source = dep->boxes[position];
+  if (source == target) co_return Status::ok();
+  iscsi::Initiator* initiator = dep->attachment.initiator;
   if (initiator == nullptr || source->active_relay == nullptr ||
       target->active_relay == nullptr) {
-    done(error(ErrorCode::kFailedPrecondition,
-               "flow migration needs a live initiator and active relays"));
-    return;
+    co_return error(ErrorCode::kFailedPrecondition,
+                    "flow migration needs a live initiator and active relays");
   }
   // The handoff tears the initiator's downstream TCP leg; session
   // recovery re-dials from the pinned source port and re-issues whatever
@@ -463,20 +462,11 @@ void StormPlatform::migrate_flow(Deployment& dep, std::size_t position,
   // Park new commands instead of failing them: the chain drains to empty
   // under a live workload, and nothing issued during the move is lost.
   initiator->set_admission_mode(iscsi::AdmissionMode::kDeferred);
-  telemetry().add_event(dep.attach_span, "migrate_begin", position);
+  telemetry().add_event(dep->attach_span, "migrate_begin", position);
 
-  sim::spawn(sim::then(
-      hand_off_flow(dep.splice.cookie, position, dep.splice.vm_port,
-                    cloud_.simulator().now() + drain_timeout_, source, target),
-      std::move(done)));
-}
-
-sim::Task<Status> StormPlatform::hand_off_flow(
-    std::uint64_t cookie, std::size_t position, std::uint16_t vm_port,
-    sim::Time deadline, std::shared_ptr<MiddleboxInstance> source,
-    std::shared_ptr<MiddleboxInstance> target) {
-  static constexpr sim::Duration kDrainPollInterval = sim::microseconds(100);
-  Deployment* dep = nullptr;
+  const std::uint64_t cookie = dep->splice.cookie;
+  const std::uint16_t vm_port = dep->splice.vm_port;
+  const sim::Time deadline = cloud_.simulator().now() + drain_timeout_;
   for (;;) {
     co_await sim::barrier(cloud_.simulator());
     dep = deployment_by_cookie(cookie);
@@ -517,7 +507,7 @@ sim::Task<Status> StormPlatform::hand_off_flow(
   target->active_relay->adopt_sessions(std::move(snapshot));
   // 5. Re-dial now and reopen the gate: parked commands queue behind
   //    session recovery and issue after the re-login lands.
-  iscsi::Initiator* initiator = dep->attachment.initiator;
+  initiator = dep->attachment.initiator;
   initiator->kick();
   initiator->set_admission_mode(iscsi::AdmissionMode::kOpen);
   telemetry().add_event(dep->attach_span, "migrated", position);
@@ -528,28 +518,26 @@ sim::Task<Status> StormPlatform::hand_off_flow(
   co_return Status::ok();
 }
 
-void StormPlatform::rebalance_flows(ReplicaSet& set,
-                                    std::function<void(Status)> done) {
-  // Collect the flows whose arc changed hands, in deterministic (cookie)
-  // order, then migrate them one at a time: concurrent migrations of one
-  // tenant would interleave their barrier mutations.
+sim::Task<Status> StormPlatform::rebalance_flows(std::string set_key) {
+  auto found = replica_sets_.find(set_key);
+  if (found == replica_sets_.end()) co_return Status::ok();
+  struct FlowMove {
+    std::uint64_t cookie;
+    std::string from;
+    std::string to;
+  };
   std::vector<FlowMove> moves;
-  for (const auto& [cookie, label] : set.assignments) {
+  for (const auto& [cookie, label] : found->second->assignments) {
     Deployment* dep = deployment_by_cookie(cookie);
     if (dep == nullptr) continue;
-    const std::string& target = set.ring.assign(FlowHashRing::flow_key(
-        dep->splice.host_storage_ip, dep->splice.vm_port,
-        dep->splice.target_ip, iscsi::kIscsiPort));
+    const std::string& target = found->second->ring.assign(
+        FlowHashRing::flow_key(dep->splice.host_storage_ip,
+                               dep->splice.vm_port, dep->splice.target_ip,
+                               iscsi::kIscsiPort));
     if (!target.empty() && target != label) {
       moves.push_back(FlowMove{cookie, label, target});
     }
   }
-  sim::spawn(sim::then(run_moves(set.key(), std::move(moves)),
-                       std::move(done)));
-}
-
-sim::Task<Status> StormPlatform::run_moves(std::string set_key,
-                                           std::vector<FlowMove> moves) {
   Status first_error;
   for (const FlowMove& move : moves) {
     auto it = replica_sets_.find(set_key);
@@ -569,9 +557,7 @@ sim::Task<Status> StormPlatform::run_moves(std::string set_key,
       }
     }
     if (target == nullptr || position == dep->boxes.size()) continue;
-    Status status = co_await sim::until<Status>([&](auto done) {
-      migrate_flow(*dep, position, target, std::move(done));
-    });
+    Status status = co_await migrate_flow(dep, position, target);
     if (status.is_ok()) {
       if (auto again = replica_sets_.find(set_key);
           again != replica_sets_.end()) {
@@ -609,29 +595,24 @@ void StormPlatform::scale_service_replicas(const std::string& tenant,
                                            unsigned target,
                                            std::function<void(Status)> done) {
   if (!done) done = [](Status) {};
-  cloud_.simulator().at_barrier(
-      [this, tenant, service_type, target, done = std::move(done)]() mutable {
-        scale_at_barrier(tenant, service_type, target, std::move(done));
-      });
+  sim::spawn(sim::then(scale_replicas(tenant, service_type, target),
+                       std::move(done)));
 }
 
-void StormPlatform::scale_at_barrier(const std::string& tenant,
-                                     const std::string& type, unsigned target,
-                                     std::function<void(Status)> done) {
+sim::Task<Status> StormPlatform::scale_replicas(std::string tenant,
+                                                std::string type,
+                                                unsigned target) {
+  co_await sim::barrier(cloud_.simulator());
   ReplicaSet* set = find_replica_set(tenant, type);
   if (set == nullptr) {
-    done(error(ErrorCode::kNotFound,
-               "no replica set for " + tenant + "/" + type));
-    return;
+    co_return error(ErrorCode::kNotFound,
+                    "no replica set for " + tenant + "/" + type);
   }
   const unsigned lo = std::max(1u, set->spec.replicas.min_count);
   const unsigned hi = std::max(lo, set->spec.replicas.max_count);
   target = std::min(std::max(target, lo), hi);
   const unsigned current = static_cast<unsigned>(set->replicas.size());
-  if (target == current) {
-    done(Status::ok());
-    return;
-  }
+  if (target == current) co_return Status::ok();
   const std::string set_key = set->key();
   telemetry().record_event("scaleout: " + tenant + "/" + type + " " +
                            std::to_string(current) + " -> " +
@@ -641,102 +622,77 @@ void StormPlatform::scale_at_barrier(const std::string& tenant,
     std::vector<StorageService*> fresh_services;
     for (unsigned i = current; i < target; ++i) {
       auto built = build_replica(*set, /*avoid_host=*/~0u, &fresh_services);
-      if (!built.is_ok()) {
-        done(built.status());
-        return;
-      }
+      if (!built.is_ok()) co_return built.status();
     }
     telemetry().counter("scaleout.scale_ups").add();
     // Initialize fresh services (pool services are replica-safe and
     // initialize synchronously today, but honor the async contract), then
     // move only the flows whose arc the new replicas took over.
-    sim::spawn(sim::then(
-        initialize_services(std::move(fresh_services)),
-        [this, set_key, done](Status status) {
-          if (!status.is_ok()) {
-            done(status);
-          } else if (auto it = replica_sets_.find(set_key);
-                     it != replica_sets_.end()) {
-            rebalance_flows(*it->second, done);
-          } else {
-            done(Status::ok());
-          }
-        }));
-    return;
+    Status ready = co_await initialize_services(std::move(fresh_services));
+    if (!ready.is_ok()) co_return ready;
+    co_return co_await rebalance_flows(set_key);
   }
 
   // Scale-down: retire the newest replicas first (consistent hashing
   // moves only their arcs), drain their flows onto the survivors, then
   // park them.
-  auto victims =
-      std::make_shared<std::vector<std::shared_ptr<MiddleboxInstance>>>();
-  for (unsigned i = target; i < current; ++i) {
-    victims->push_back(set->replicas[i]);
-  }
-  for (const auto& victim : *victims) {
+  const std::vector<std::shared_ptr<MiddleboxInstance>> victims(
+      set->replicas.begin() + target, set->replicas.end());
+  for (const auto& victim : victims) {
     set->ring.remove_node(victim->replica_label);
   }
   telemetry().counter("scaleout.scale_downs").add();
-  rebalance_flows(*set, [this, set_key, victims, done](Status status) {
-    auto it = replica_sets_.find(set_key);
-    if (it == replica_sets_.end()) {
-      done(status);
-      return;
+  Status status = co_await rebalance_flows(set_key);
+  set = find_replica_set(tenant, type);
+  if (set == nullptr) co_return status;
+  for (const auto& victim : victims) {
+    bool busy = false;
+    for (const auto& [cookie, label] : set->assignments) {
+      busy = busy || label == victim->replica_label;
     }
-    ReplicaSet& set = *it->second;
-    for (const auto& victim : *victims) {
-      bool busy = false;
-      for (const auto& [cookie, label] : set.assignments) {
-        busy = busy || label == victim->replica_label;
+    if (busy) {
+      // A migration failed and left a flow behind: the victim must keep
+      // serving it. Put its arcs back so new flows can land too.
+      set->ring.add_node(victim->replica_label);
+      if (status.is_ok()) {
+        status = error(ErrorCode::kFailedPrecondition,
+                       "replica " + victim->replica_label +
+                           " still owns flows; not parked");
       }
-      if (busy) {
-        // A migration failed and left a flow behind: the victim must
-        // keep serving it. Put its arcs back so new flows can land too.
-        set.ring.add_node(victim->replica_label);
-        if (status.is_ok()) {
-          status = error(ErrorCode::kFailedPrecondition,
-                         "replica " + victim->replica_label +
-                             " still owns flows; not parked");
-        }
-        continue;
-      }
-      park_replica(set, victim);
+      continue;
     }
-    done(status);
-  });
+    park_replica(*set, victim);
+  }
+  co_return status;
 }
 
 void StormPlatform::attach_with_chain(
     const std::string& vm_name, const std::string& volume_name,
     std::vector<ServiceSpec> chain,
     std::function<void(Result<DeploymentHandle>)> done) {
-  // Deployment provisions VMs and installs rules across many partitions;
-  // run the whole control-plane sequence at a window barrier (inline on
-  // a single-partition simulator — the historical behavior).
-  cloud_.simulator().at_barrier([this, vm_name, volume_name,
-                                 chain = std::move(chain),
-                                 done = std::move(done)]() mutable {
-    attach_with_chain_at_barrier(vm_name, volume_name, std::move(chain),
-                                 std::move(done));
-  });
+  sim::spawn(deploy(vm_name, volume_name, std::move(chain), std::move(done)));
 }
 
-void StormPlatform::attach_with_chain_at_barrier(
-    const std::string& vm_name, const std::string& volume_name,
+sim::Task<> StormPlatform::deploy(
+    std::string vm_name, std::string volume_name,
     std::vector<ServiceSpec> chain,
     std::function<void(Result<DeploymentHandle>)> done) {
+  // Deployment provisions VMs and installs rules across many partitions;
+  // run the whole control-plane sequence at window barriers (inline on a
+  // single-partition simulator).
+  sim::Simulator& simulator = cloud_.simulator();
+  co_await sim::barrier(simulator);
   cloud::Vm* vm = cloud_.find_vm(vm_name);
   if (vm == nullptr) {
     done(error(ErrorCode::kNotFound, "no VM " + vm_name));
-    return;
+    co_return;
   }
   auto located = cloud_.locate_volume(volume_name);
   if (!located.is_ok()) {
     done(located.status());
-    return;
+    co_return;
   }
   block::Volume* volume = located.value().first;
-  unsigned storage_index = located.value().second;
 
   auto deployment = std::make_unique<Deployment>();
   Deployment* dep = deployment.get();
@@ -746,58 +702,103 @@ void StormPlatform::attach_with_chain_at_barrier(
   dep->splice.cookie = next_cookie_++;
   dep->splice.vm_port = allocate_flow_port();
   dep->splice.host_storage_ip = cloud_.compute(vm->host_index()).storage_ip();
-  dep->splice.target_ip = cloud_.storage(storage_index).storage_ip();
+  dep->splice.target_ip = cloud_.storage(located.value().second).storage_ip();
   dep->splice.gateways = splicer_.tenant_gateways(vm->tenant());
-
   // The deployment's trace span covers provision -> splice -> login; it
   // stays open until detach so a dump shows which chains are live.
   dep->attach_span =
       telemetry().begin_span("deploy." + vm_name + ":" + volume_name);
-  const std::uint64_t cookie = dep->splice.cookie;
 
-  // Provision the middle-box VMs + service instances. Hops carrying a
-  // `replicas` stanza draw a pooled box from the tenant's replica set
-  // instead of building a private one; only freshly built service
-  // instances go through initialize() below (a pooled instance serving
-  // its second flow was initialized when the pool was built).
   std::vector<StorageService*> fresh_services;
-  for (std::size_t i = 0; i < chain.size(); ++i) {
-    if (chain[i].replicas.enabled) {
-      auto pooled = acquire_replica(*dep, chain[i], vm->tenant(),
-                                    vm->host_index(), volume,
+  Status provisioned =
+      provision_chain(*dep, *vm, *volume, chain, fresh_services);
+  if (!provisioned.is_ok()) {
+    rollback_deployment(dep);  // not registered yet: no rules to tear out
+    done(provisioned);
+    co_return;
+  }
+  telemetry().add_event(dep->attach_span, "boxes_provisioned",
+                        dep->boxes.size());
+  deployments_.push_back(std::move(deployment));
+
+  // The one failure exit from here on: leave nothing half-spliced.
+  auto fail = [&](const Status& status) {
+    telemetry().record_event("deploy " + dep->vm + ":" + dep->volume +
+                             " failed: " + status.to_string());
+    rollback_deployment(dep);
+    done(status);
+  };
+  // Let services finish async setup (replication attaches its replicas),
+  // then program the network and attach the volume.
+  Status ready = co_await initialize_services(std::move(fresh_services));
+  if (!ready.is_ok()) {
+    fail(ready);
+    co_return;
+  }
+  wire_relays(*dep);
+  splicer_.install_gateway_rules(dep->splice);
+  splicer_.install_capture_rules(dep->splice);
+  sdn_.install_chain_rules(dep->splice);
+  telemetry().add_event(dep->attach_span, "rules_installed");
+
+  // Atomic attachment (§III-A): under the host's attach lock, the NAT
+  // redirect exists only while this login connects. The lock goes with
+  // this frame, after `done` has run.
+  co_await sim::barrier(simulator);
+  cloud::ComputeHost& host = cloud_.compute(vm->host_index());
+  sim::Mutex::Guard host_lock = co_await host.attach_lock().lock();
+  auto plan = cloud_.prepare_attach(*vm, volume_name);
+  if (!plan.is_ok()) {
+    fail(plan.status());
+    co_return;
+  }
+  splicer_.install_host_redirect(host, dep->splice);
+  Status login = co_await cloud_.login(plan.value(), dep->splice.vm_port);
+  // Host-local by design: the login completes on the host's partition,
+  // which is exactly where the NAT rules live.
+  splicer_.remove_host_redirect(host, dep->splice);
+  co_await sim::barrier(simulator);
+  if (!login.is_ok()) {
+    fail(login);
+    co_return;
+  }
+  dep->attachment = cloud_.register_attachment(plan.value());
+  const std::uint64_t cookie = dep->splice.cookie;
+  telemetry().add_event(dep->attach_span, "attached");
+  telemetry().record_event("deploy " + dep->vm + ":" + dep->volume +
+                           " attached (cookie " + std::to_string(cookie) +
+                           ")");
+  done(Result<DeploymentHandle>(DeploymentHandle(this, cookie)));
+}
+
+Status StormPlatform::provision_chain(
+    Deployment& dep, cloud::Vm& vm, block::Volume& volume,
+    const std::vector<ServiceSpec>& chain,
+    std::vector<StorageService*>& fresh_services) {
+  // Hops carrying a `replicas` stanza draw a pooled box from the tenant's
+  // replica set instead of building a private one; only freshly built
+  // service instances go through initialize() (a pooled instance serving
+  // its second flow was initialized when the pool was built).
+  for (const ServiceSpec& spec : chain) {
+    if (spec.replicas.enabled) {
+      auto pooled = acquire_replica(dep, spec, vm.tenant(), vm.host_index(),
                                     &fresh_services);
-      if (!pooled.is_ok()) {
-        release_replica_flows(*dep);
-        telemetry().end_span(dep->attach_span);
-        done(pooled.status());
-        return;
-      }
-      dep->splice.chain.push_back(
+      if (!pooled.is_ok()) return pooled.status();
+      dep.splice.chain.push_back(
           Hop{pooled.value()->vm, pooled.value()->spec.relay});
-      dep->boxes.push_back(std::move(pooled).take());
+      dep.boxes.push_back(std::move(pooled).take());
       continue;
     }
-    std::string label = "mb-" + std::to_string(next_mb_id_++) + "-" +
-                        chain[i].type;
-    auto box = build_box(chain[i], label, vm->tenant(), vm->host_index(),
-                         volume);
-    if (!box.is_ok()) {
-      release_replica_flows(*dep);
-      telemetry().end_span(dep->attach_span);
-      done(box.status());
-      return;
-    }
-    if (chain[i].recovery == RecoveryPolicyKind::kStandby) {
+    std::string label =
+        "mb-" + std::to_string(next_mb_id_++) + "-" + spec.type;
+    auto box = build_box(spec, label, vm.tenant(), vm.host_index(), &volume);
+    if (!box.is_ok()) return box.status();
+    if (spec.recovery == RecoveryPolicyKind::kStandby) {
       // Provision the warm spare now: a standby built after the failure
       // would add VM boot time to MTTR, which defeats the policy.
-      auto standby = build_box(chain[i], label + "-sb", vm->tenant(),
-                               vm->host_index(), volume);
-      if (!standby.is_ok()) {
-        release_replica_flows(*dep);
-        telemetry().end_span(dep->attach_span);
-        done(standby.status());
-        return;
-      }
+      auto standby = build_box(spec, label + "-sb", vm.tenant(),
+                               vm.host_index(), &volume);
+      if (!standby.is_ok()) return standby.status();
       box.value()->standby = std::move(standby).take();
     }
     if (box.value()->service) {
@@ -806,68 +807,10 @@ void StormPlatform::attach_with_chain_at_barrier(
     if (box.value()->standby && box.value()->standby->service) {
       fresh_services.push_back(box.value()->standby->service.get());
     }
-    dep->splice.chain.push_back(
-        Hop{box.value()->vm, box.value()->spec.relay});
-    dep->boxes.push_back(std::move(box).take());
+    dep.splice.chain.push_back(Hop{box.value()->vm, box.value()->spec.relay});
+    dep.boxes.push_back(std::move(box).take());
   }
-  telemetry().add_event(dep->attach_span, "boxes_provisioned",
-                        dep->boxes.size());
-
-  deployments_.push_back(std::move(deployment));
-
-  // Let services finish async setup (replication attaches its replicas),
-  // then program the network and attach the volume.
-  auto proceed = [this, dep, vm, done, cookie](Status ready) {
-    if (!ready.is_ok()) {
-      telemetry().record_event("deploy " + dep->vm + ":" + dep->volume +
-                               " failed: " + ready.to_string());
-      rollback_deployment(dep);
-      done(ready);
-      return;
-    }
-    wire_relays(*dep);
-    splicer_.install_gateway_rules(dep->splice);
-    splicer_.install_capture_rules(dep->splice);
-    sdn_.install_chain_rules(dep->splice);
-    telemetry().add_event(dep->attach_span, "rules_installed");
-
-    cloud::AttachHooks hooks;
-    hooks.force_source_port = dep->splice.vm_port;
-    hooks.before_login = [this, dep](cloud::ComputeHost& host,
-                                     const cloud::Attachment&) {
-      splicer_.install_host_redirect(host, dep->splice);
-    };
-    hooks.after_login = [this, dep](cloud::ComputeHost& host,
-                                    const cloud::Attachment&) {
-      splicer_.remove_host_redirect(host, dep->splice);
-    };
-    cloud_.attach_volume(*vm, dep->volume,
-                         [this, dep, done, cookie](
-                             Status status, cloud::Attachment attachment) {
-                           if (!status.is_ok()) {
-                             // The attach failed after rules were
-                             // installed: leave nothing half-spliced.
-                             telemetry().record_event(
-                                 "deploy " + dep->vm + ":" + dep->volume +
-                                 " failed: " + status.to_string());
-                             rollback_deployment(dep);
-                             done(status);
-                             return;
-                           }
-                           dep->attachment = std::move(attachment);
-                           telemetry().add_event(dep->attach_span,
-                                                 "attached");
-                           telemetry().record_event(
-                               "deploy " + dep->vm + ":" + dep->volume +
-                               " attached (cookie " +
-                               std::to_string(cookie) + ")");
-                           done(Result<DeploymentHandle>(
-                               DeploymentHandle(this, cookie)));
-                         },
-                         hooks);
-  };
-  sim::spawn(sim::then(initialize_services(std::move(fresh_services)),
-                       std::move(proceed)));
+  return Status::ok();
 }
 
 sim::Task<Status> StormPlatform::initialize_services(
@@ -940,8 +883,8 @@ const net::TokenBucket* StormPlatform::tenant_qos(
 void StormPlatform::teardown_rules(Deployment* dep) {
   splicer_.remove_all_rules(dep->splice);
   sdn_.remove_chain_rules(dep->splice.cookie);
-  // The host redirect is cookie-tagged too; normally the after_login hook
-  // removed it already, but a failure before that point must not leak it.
+  // The host redirect is cookie-tagged too; the attach removes it right
+  // after login, but a failure before that point must not leak it.
   cloud::Vm* vm = cloud_.find_vm(dep->vm);
   if (vm != nullptr) {
     cloud_.compute(vm->host_index())
@@ -953,17 +896,18 @@ void StormPlatform::teardown_rules(Deployment* dep) {
 }
 
 void StormPlatform::rollback_deployment(Deployment* dep) {
-  teardown_rules(dep);
+  auto registered =
+      std::find_if(deployments_.begin(), deployments_.end(),
+                   [dep](const auto& owned) { return owned.get() == dep; });
+  // Rules go in only once the deployment is registered.
+  if (registered != deployments_.end()) teardown_rules(dep);
   release_replica_flows(*dep);
   // Drop the chain's health record with it: a stale entry would keep
   // probing box pointers the erase below is about to destroy.
   health_->forget_deployment(dep->splice.cookie);
   telemetry().end_span(dep->attach_span);
-  for (auto it = deployments_.begin(); it != deployments_.end(); ++it) {
-    if (it->get() == dep) {
-      deployments_.erase(it);  // destroys relays (ActiveRelay::shutdown)
-      break;
-    }
+  if (registered != deployments_.end()) {
+    deployments_.erase(registered);  // destroys relays (ActiveRelay::shutdown)
   }
 }
 
@@ -990,44 +934,6 @@ bool StormPlatform::deployment_quiescent(const Deployment& dep) const {
   return true;
 }
 
-void StormPlatform::drain_deployment(Deployment& dep,
-                                     std::function<void(Status)> done) {
-  dep.state = DeploymentState::kDraining;
-  if (dep.attachment.initiator != nullptr) {
-    dep.attachment.initiator->set_admission(false);
-  }
-  telemetry().add_event(dep.attach_span, "drain_begin");
-  sim::spawn(await_drained(dep.splice.cookie,
-                           cloud_.simulator().now() + drain_timeout_,
-                           std::move(done)));
-}
-
-sim::Task<void> StormPlatform::await_drained(
-    std::uint64_t cookie, sim::Time deadline,
-    std::function<void(Status)> done) {
-  // Drain poll cadence: fine-grained enough that the drain adds at most
-  // ~100us to a teardown, coarse enough not to dominate the event queue.
-  static constexpr sim::Duration kDrainPollInterval = sim::microseconds(100);
-  for (;;) {
-    // The quiescence probe reads initiator and relay state across
-    // partitions; hop from the control partition's timer to the barrier
-    // before looking (inline on a single-partition simulator).
-    co_await sim::barrier(cloud_.simulator());
-    Deployment* dep = deployment_by_cookie(cookie);
-    if (dep == nullptr) co_return;  // torn down while the poll was pending
-    if (deployment_quiescent(*dep)) {
-      telemetry().add_event(dep->attach_span, "drained");
-      done(Status::ok());
-      co_return;
-    }
-    if (cloud_.simulator().now() >= deadline) {
-      done(error(ErrorCode::kDeadlineExceeded, "drain timeout"));
-      co_return;
-    }
-    co_await sim::sleep(cloud_.control_executor(), kDrainPollInterval);
-  }
-}
-
 Status StormPlatform::detach_deployment(std::uint64_t cookie) {
   Deployment* dep = deployment_by_cookie(cookie);
   if (dep == nullptr) {
@@ -1036,19 +942,44 @@ Status StormPlatform::detach_deployment(std::uint64_t cookie) {
   if (dep->state == DeploymentState::kDraining) {
     return error(ErrorCode::kFailedPrecondition, "detach already draining");
   }
-  drain_deployment(*dep, [this, cookie](Status drained) {
-    Deployment* dep = deployment_by_cookie(cookie);
-    if (dep == nullptr) return;
-    if (!drained.is_ok()) {
-      telemetry().record_event("drain " + dep->vm + ":" + dep->volume +
-                               " incomplete (" + drained.to_string() +
-                               "); forcing detach");
-    }
-    telemetry().record_event("detach " + dep->vm + ":" + dep->volume +
-                             " (cookie " + std::to_string(cookie) + ")");
-    rollback_deployment(dep);  // rules out, relays destroyed
-  });
+  sim::spawn(drain_and_detach(dep));
   return Status::ok();
+}
+
+sim::Task<> StormPlatform::drain_and_detach(Deployment* dep) {
+  dep->state = DeploymentState::kDraining;
+  if (dep->attachment.initiator != nullptr) {
+    dep->attachment.initiator->set_admission(false);
+  }
+  telemetry().add_event(dep->attach_span, "drain_begin");
+  const std::uint64_t cookie = dep->splice.cookie;
+  const sim::Time deadline = cloud_.simulator().now() + drain_timeout_;
+  Status drained;
+  for (;;) {
+    // The quiescence probe reads initiator and relay state across
+    // partitions; hop from the control partition's timer to the barrier
+    // before looking (inline on a single-partition simulator).
+    co_await sim::barrier(cloud_.simulator());
+    dep = deployment_by_cookie(cookie);
+    if (dep == nullptr) co_return;  // torn down while the poll was pending
+    if (deployment_quiescent(*dep)) {
+      telemetry().add_event(dep->attach_span, "drained");
+      break;
+    }
+    if (cloud_.simulator().now() >= deadline) {
+      drained = error(ErrorCode::kDeadlineExceeded, "drain timeout");
+      break;
+    }
+    co_await sim::sleep(cloud_.control_executor(), kDrainPollInterval);
+  }
+  if (!drained.is_ok()) {
+    telemetry().record_event("drain " + dep->vm + ":" + dep->volume +
+                             " incomplete (" + drained.to_string() +
+                             "); forcing detach");
+  }
+  telemetry().record_event("detach " + dep->vm + ":" + dep->volume +
+                           " (cookie " + std::to_string(cookie) + ")");
+  rollback_deployment(dep);  // rules out, relays destroyed
 }
 
 void StormPlatform::rebuild_chain(Deployment& deployment) {

@@ -272,12 +272,19 @@ class StormPlatform {
   friend class ChainHealthManager;
 
   std::uint16_t allocate_flow_port() { return next_flow_port_++; }
-  /// attach_with_chain body, run in barrier/control context (the public
-  /// entry point defers itself with sim::Simulator::at_barrier).
-  void attach_with_chain_at_barrier(
-      const std::string& vm_name, const std::string& volume_name,
-      std::vector<ServiceSpec> chain,
-      std::function<void(Result<DeploymentHandle>)> done);
+  /// attach_with_chain's body: provision the boxes, initialize their
+  /// services, program the network, then attach the volume atomically
+  /// under the host's attach lock. Every failure after provisioning
+  /// leaves through one rollback.
+  sim::Task<> deploy(std::string vm_name, std::string volume_name,
+                     std::vector<ServiceSpec> chain,
+                     std::function<void(Result<DeploymentHandle>)> done);
+  /// Build dep's middle-boxes for `chain`, appending each freshly built
+  /// service instance to `fresh_services` for initialize().
+  Status provision_chain(Deployment& dep, cloud::Vm& vm,
+                         block::Volume& volume,
+                         const std::vector<ServiceSpec>& chain,
+                         std::vector<StorageService*>& fresh_services);
   unsigned place_middlebox(const ServiceSpec& spec, unsigned vm_host);
   Result<std::unique_ptr<MiddleboxInstance>> build_box(
       const ServiceSpec& spec, const std::string& label,
@@ -302,8 +309,7 @@ class StormPlatform {
   /// the flow was pinned to.
   Result<std::shared_ptr<MiddleboxInstance>> acquire_replica(
       Deployment& dep, const ServiceSpec& spec, const std::string& tenant,
-      unsigned vm_host, block::Volume* volume,
-      std::vector<StorageService*>* fresh_services);
+      unsigned vm_host, std::vector<StorageService*>* fresh_services);
   /// Teardown/rollback: drop this deployment's sessions from its pooled
   /// boxes and erase its ring assignments. Pooled relays stay up.
   void release_replica_flows(Deployment& dep);
@@ -312,34 +318,22 @@ class StormPlatform {
   /// extraction, NAT flush on the old VM, capture + steering reprogram,
   /// session adoption) -> reopen. Parked commands are replayed, never
   /// failed.
-  void migrate_flow(Deployment& dep, std::size_t position,
-                    std::shared_ptr<MiddleboxInstance> target,
-                    std::function<void(Status)> done);
+  sim::Task<Status> migrate_flow(Deployment* dep, std::size_t position,
+                                 std::shared_ptr<MiddleboxInstance> target);
   /// Run every service's initialize() concurrently; the first error wins.
   sim::Task<Status> initialize_services(
       std::vector<StorageService*> services);
   /// apply_policy's attach loop: one volume at a time, in policy order.
   sim::Task<Result<std::vector<DeploymentHandle>>> attach_volumes(
       std::vector<VolumePolicy> volumes);
-  /// migrate_flow's drain poll and handoff, once admission is deferred.
-  sim::Task<Status> hand_off_flow(std::uint64_t cookie, std::size_t position,
-                                  std::uint16_t vm_port, sim::Time deadline,
-                                  std::shared_ptr<MiddleboxInstance> source,
-                                  std::shared_ptr<MiddleboxInstance> target);
-  void scale_at_barrier(const std::string& tenant, const std::string& type,
-                        unsigned target, std::function<void(Status)> done);
+  /// scale_service_replicas' body, run at a window barrier.
+  sim::Task<Status> scale_replicas(std::string tenant, std::string type,
+                                   unsigned target);
   /// After the ring changed: migrate every flow whose assignment no
-  /// longer matches its current replica, one at a time (deterministic
-  /// order), then run `done`.
-  void rebalance_flows(ReplicaSet& set, std::function<void(Status)> done);
-  /// A flow whose ring arc moved from replica `from` to replica `to`.
-  struct FlowMove {
-    std::uint64_t cookie;
-    std::string from;
-    std::string to;
-  };
-  sim::Task<Status> run_moves(std::string set_key,
-                              std::vector<FlowMove> moves);
+  /// longer matches its current replica, one at a time, in cookie order
+  /// (concurrent migrations of one tenant would interleave their barrier
+  /// mutations). Yields the first migration error, or OK.
+  sim::Task<Status> rebalance_flows(std::string set_key);
   /// Retire a drained replica: shut its relay down, power the VM off,
   /// unhook its stall callback, move it to the parked list.
   void park_replica(ReplicaSet& set,
@@ -355,15 +349,11 @@ class StormPlatform {
   void rebuild_chain(Deployment& deployment);
 
   // --- drain protocol ---
-  /// Close the initiator's admission gate and poll (on the sim clock)
-  /// until the chain is quiescent, then invoke `done` — with OK when the
-  /// chain flushed, or kDeadlineExceeded if drain_timeout_ elapsed first
-  /// (the caller tears down regardless; a wedged chain must not pin the
-  /// deployment forever). Runs `done` synchronously when already
-  /// quiescent.
-  void drain_deployment(Deployment& dep, std::function<void(Status)> done);
-  sim::Task<void> await_drained(std::uint64_t cookie, sim::Time deadline,
-                                std::function<void(Status)> done);
+  /// Detach's body: close the initiator's admission gate and poll (on
+  /// the sim clock) until the chain is quiescent or drain_timeout_
+  /// elapses (a wedged chain must not pin the deployment forever), then
+  /// tear the deployment down.
+  sim::Task<> drain_and_detach(Deployment* dep);
   /// Nothing in flight anywhere: no outstanding initiator commands, all
   /// relay queues/journals/backlogs empty.
   bool deployment_quiescent(const Deployment& dep) const;

@@ -45,7 +45,7 @@ core::ServiceVerdict EncryptionService::on_pdu(core::ServiceContext& ctx,
       // references the plaintext bytes.
       crypt(true, pdu.lba, pdu.data.mutable_span());
       encrypted_ += pdu.data.size();
-      ctx.scope().counter("encryption.bytes_encrypted").add(pdu.data.size());
+      encrypted_counter_.in(ctx.scope()).add(pdu.data.size());
       verdict.cpu_cost = config_.per_io + static_cast<sim::Duration>(
           config_.ns_per_byte * static_cast<double>(pdu.data.size()));
       // Remember the burst's starting LBA for its Data-Out tail.
@@ -58,7 +58,7 @@ core::ServiceVerdict EncryptionService::on_pdu(core::ServiceContext& ctx,
         crypt(true, lba->second + pdu.data_offset / block::kSectorSize,
               pdu.data.mutable_span());
         encrypted_ += pdu.data.size();
-        ctx.scope().counter("encryption.bytes_encrypted").add(pdu.data.size());
+        encrypted_counter_.in(ctx.scope()).add(pdu.data.size());
         verdict.cpu_cost = static_cast<sim::Duration>(
             config_.ns_per_byte * static_cast<double>(pdu.data.size()));
         if (pdu.is_final()) write_lbas_.erase(lba);
@@ -77,7 +77,7 @@ core::ServiceVerdict EncryptionService::on_pdu(core::ServiceContext& ctx,
       crypt(false, info->lba + pdu.data_offset / block::kSectorSize,
             pdu.data.mutable_span());
       decrypted_ += pdu.data.size();
-      ctx.scope().counter("encryption.bytes_decrypted").add(pdu.data.size());
+      decrypted_counter_.in(ctx.scope()).add(pdu.data.size());
       verdict.cpu_cost = config_.per_io + static_cast<sim::Duration>(
           config_.ns_per_byte * static_cast<double>(pdu.data.size()));
     }

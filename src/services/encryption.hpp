@@ -33,6 +33,11 @@ class EncryptionService : public core::StorageService {
   bool confidentiality_critical() const override { return true; }
   core::ServiceVerdict on_pdu(core::ServiceContext& ctx, core::Direction dir,
                               iscsi::Pdu& pdu) override;
+  // A new host means a new scope: drop the cached counters.
+  void bind_host(const core::ServiceHost& /*host*/) override {
+    encrypted_counter_.reset();
+    decrypted_counter_.reset();
+  }
 
   std::uint64_t bytes_encrypted() const { return encrypted_; }
   std::uint64_t bytes_decrypted() const { return decrypted_; }
@@ -49,6 +54,9 @@ class EncryptionService : public core::StorageService {
   std::map<std::uint32_t, std::uint64_t> write_lbas_;
   std::uint64_t encrypted_ = 0;
   std::uint64_t decrypted_ = 0;
+  // In the hosting relay's scope.
+  obs::CounterHandle encrypted_counter_{"encryption.bytes_encrypted"};
+  obs::CounterHandle decrypted_counter_{"encryption.bytes_decrypted"};
 };
 
 }  // namespace storm::services

@@ -20,7 +20,7 @@ core::ServiceVerdict MonitorService::on_pdu(core::ServiceContext& ctx,
       // Classification of reads happens at command time: the geometry is
       // enough, the view is not changed by a read.
       record(recon_->on_read(pdu.lba, pdu.transfer_length));
-      ctx.scope().counter("monitor.accesses").add();
+      accesses_counter_.in(ctx.scope()).add();
       verdict.cpu_cost += config_.cost_per_access;
       tracker_.on_to_target(pdu);
       return verdict;
@@ -29,7 +29,7 @@ core::ServiceVerdict MonitorService::on_pdu(core::ServiceContext& ctx,
       // Update + Analysis: the completed write carries the content that
       // keeps the filesystem view current.
       record(recon_->on_write(burst->lba, burst->data));
-      ctx.scope().counter("monitor.accesses").add();
+      accesses_counter_.in(ctx.scope()).add();
       verdict.cpu_cost += config_.cost_per_access;
     }
     return verdict;

@@ -44,6 +44,10 @@ class MonitorService : public core::StorageService {
   bool replica_safe() const override { return false; }
   core::ServiceVerdict on_pdu(core::ServiceContext& ctx, core::Direction dir,
                               iscsi::Pdu& pdu) override;
+  // A new host means a new scope: drop the cached counter.
+  void bind_host(const core::ServiceHost& /*host*/) override {
+    accesses_counter_.reset();
+  }
 
   /// Watch a path (or a directory prefix ending in '/'): any access
   /// raises an alert (paper: "set an alert on sensitive files").
@@ -65,6 +69,8 @@ class MonitorService : public core::StorageService {
   std::vector<std::string> watches_;
   AlertCallback on_alert_;
   std::uint64_t next_sequence_ = 1;
+  // "monitor.accesses" in the hosting relay's scope.
+  obs::CounterHandle accesses_counter_{"monitor.accesses"};
 };
 
 }  // namespace storm::services

@@ -24,6 +24,7 @@
 #pragma once
 
 #include <coroutine>
+#include <deque>
 #include <memory>
 #include <optional>
 #include <tuple>
@@ -282,6 +283,89 @@ class Join {
   };
   std::shared_ptr<State> hold_ = std::make_shared<State>();  // until suspended
   State* state_ = hold_.get();  // then kept alive by the callbacks
+};
+
+/// A FIFO lock for control-plane Tasks (StorM's per-host attach mutex).
+/// co_await lock() takes it inline when it is free and otherwise waits
+/// its turn; the Guard it yields releases it when destroyed, so a holder
+/// that reports its result before its Guard goes finishes that report
+/// before the next holder runs. Release hands the lock on at one point:
+/// on a single-partition simulator in a fresh event at the end of the
+/// tick (schedule_in(0)), on a partitioned one at the window barrier
+/// (inline when released there). The lock stays held until then, so a
+/// lock requested in between queues behind the waiters already there.
+/// Destroying the Mutex destroys the chains still waiting for it; a Guard
+/// that outlives its Mutex releases nothing.
+class Mutex {
+  struct State {
+    explicit State(Simulator& s) : simulator(&s) {}
+    Simulator* simulator;
+    bool locked = false;
+    bool closed = false;  // the Mutex is gone
+    std::deque<detail::PromiseBase*> waiters;
+
+    void hand_off() {
+      if (closed) return;
+      if (waiters.empty()) {
+        locked = false;
+        return;
+      }
+      detail::PromiseBase* next = waiters.front();
+      waiters.pop_front();
+      next->self.resume();  // it holds the lock now
+    }
+  };
+
+ public:
+  explicit Mutex(Simulator& simulator)
+      : state_(std::make_shared<State>(simulator)) {}
+  Mutex(const Mutex&) = delete;
+  Mutex& operator=(const Mutex&) = delete;
+  ~Mutex() {
+    state_->closed = true;
+    for (detail::PromiseBase* waiter : std::exchange(state_->waiters, {})) {
+      detail::abandon(waiter);
+    }
+  }
+
+  /// Holds the lock (nothing once moved from).
+  class Guard {
+   public:
+    Guard(Guard&& other) noexcept : state_(std::move(other.state_)) {}
+    ~Guard() {
+      if (state_ == nullptr || state_->closed) return;
+      Simulator& simulator = *state_->simulator;
+      auto hand_off = [s = std::move(state_)] { s->hand_off(); };
+      if (simulator.partition_count() == 1) {
+        simulator.schedule_in(0, std::move(hand_off));
+      } else {
+        simulator.at_barrier(std::move(hand_off));
+      }
+    }
+
+   private:
+    friend class Mutex;
+    explicit Guard(std::shared_ptr<State> state) : state_(std::move(state)) {}
+    std::shared_ptr<State> state_;
+  };
+
+  struct Awaiter {
+    std::shared_ptr<State> state;
+    bool await_ready() const noexcept {
+      if (state->locked) return false;
+      state->locked = true;
+      return true;
+    }
+    template <typename P>
+    void await_suspend(std::coroutine_handle<P> h) {
+      state->waiters.push_back(&h.promise());
+    }
+    Guard await_resume() { return Guard(std::move(state)); }
+  };
+  Awaiter lock() { return Awaiter{state_}; }
+
+ private:
+  std::shared_ptr<State> state_;
 };
 
 }  // namespace storm::sim

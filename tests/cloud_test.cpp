@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "cloud/cloud.hpp"
 #include "testutil.hpp"
 
@@ -10,14 +12,13 @@ class CloudTest : public ::testing::Test {
  protected:
   CloudTest() : cloud_(sim_, CloudConfig{}) {}
 
-  Attachment attach(Vm& vm, const std::string& volume,
-                    AttachHooks hooks = {}) {
+  Attachment attach(Vm& vm, const std::string& volume) {
     Status status = error(ErrorCode::kIoError, "unset");
     Attachment attachment;
     cloud_.attach_volume(vm, volume, [&](Status s, Attachment a) {
       status = s;
       attachment = std::move(a);
-    }, std::move(hooks));
+    });
     sim_.run();
     EXPECT_TRUE(status.is_ok()) << status.to_string();
     return attachment;
@@ -98,56 +99,112 @@ TEST_F(CloudTest, AttachmentRegistryJoinsVmIqnAndPort) {
   EXPECT_EQ(sessions[0].tuple.dst.port, attachment.source_port);
 }
 
-TEST_F(CloudTest, AttachHooksBracketLogin) {
-  Vm& vm = cloud_.create_vm("vm1", "tenant1", 0);
-  ASSERT_TRUE(cloud_.create_volume("vol1", 1'000).is_ok());
-  std::vector<std::string> events;
-  AttachHooks hooks;
-  hooks.before_login = [&](ComputeHost&, const Attachment& a) {
-    events.push_back("before:" + a.iqn);
-    EXPECT_EQ(a.source_port, 0) << "port unknown before login";
-  };
-  hooks.after_login = [&](ComputeHost&, const Attachment& a) {
-    events.push_back("after");
-    EXPECT_NE(a.source_port, 0) << "port known after login";
-  };
-  attach(vm, "vol1", std::move(hooks));
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_TRUE(events[0].starts_with("before:iqn."));
-  EXPECT_EQ(events[1], "after");
+// Login windows seen by attach_with_redirect.
+struct LoginWindows {
+  int open = 0;
+  int max_open = 0;
+  std::vector<std::size_t> rules_at_login;  // host NAT rules at each login
+};
+
+// One attach driven through Cloud's steps the way StorM's platform drives
+// them: holding the host's attach lock, a redirect pinned to the login's
+// source port goes in after the check and comes out in the login
+// completion. It only moves the source port, so the login still lands.
+// The lock is kept `hold` past the registry.
+sim::Task<Status> attach_with_redirect(Cloud& cloud, Vm& vm,
+                                       std::string volume,
+                                       std::uint16_t port,
+                                       LoginWindows* windows,
+                                       sim::Duration hold = 0) {
+  co_await sim::barrier(cloud.simulator());
+  ComputeHost& host = cloud.compute(vm.host_index());
+  sim::Mutex::Guard lock = co_await host.attach_lock().lock();
+  auto plan = cloud.prepare_attach(vm, volume);
+  if (!plan.is_ok()) co_return plan.status();
+  net::NatRule redirect;
+  redirect.match_src_port = port;
+  redirect.snat_port = static_cast<std::uint16_t>(port + 1000);
+  redirect.cookie = port;
+  host.node().nat().add_rule(redirect);
+  windows->max_open = std::max(windows->max_open, ++windows->open);
+  EXPECT_EQ(plan.value().attachment.source_port, 0) << "port unknown";
+  Status status = co_await cloud.login(plan.value(), port);
+  EXPECT_EQ(plan.value().attachment.source_port, port) << "port pinned";
+  windows->rules_at_login.push_back(host.node().nat().rule_count());
+  host.node().nat().remove_rules_by_cookie(port);
+  --windows->open;
+  co_await sim::barrier(cloud.simulator());
+  if (!status.is_ok()) co_return status;
+  cloud.register_attachment(plan.value());
+  if (hold > 0) co_await sim::sleep(cloud.simulator().executor(), hold);
+  co_return Status::ok();
 }
 
-TEST_F(CloudTest, AttachmentsOnOneHostSerialize) {
+TEST_F(CloudTest, LoginRedirectExistsOnlyDuringItsLogin) {
   Vm& vm1 = cloud_.create_vm("vm1", "tenant1", 0);
   Vm& vm2 = cloud_.create_vm("vm2", "tenant1", 0);
   ASSERT_TRUE(cloud_.create_volume("vol1", 1'000).is_ok());
   ASSERT_TRUE(cloud_.create_volume("vol2", 1'000).is_ok());
+  net::NatEngine& nat = cloud_.compute(0).node().nat();
 
-  int in_window = 0;
-  int max_in_window = 0;
-  AttachHooks hooks;
-  hooks.before_login = [&](ComputeHost&, const Attachment&) {
-    max_in_window = std::max(max_in_window, ++in_window);
-  };
-  hooks.after_login = [&](ComputeHost&, const Attachment&) { --in_window; };
-
-  int completed = 0;
-  cloud_.attach_volume(vm1, "vol1",
-                       [&](Status s, Attachment) {
-                         EXPECT_TRUE(s.is_ok());
-                         ++completed;
-                       },
-                       hooks);
-  cloud_.attach_volume(vm2, "vol2",
-                       [&](Status s, Attachment) {
-                         EXPECT_TRUE(s.is_ok());
-                         ++completed;
-                       },
-                       hooks);
+  LoginWindows windows;
+  std::vector<Status> results;
+  auto record = [&](Status s) { results.push_back(s); };
+  sim::spawn(sim::then(
+      attach_with_redirect(cloud_, vm1, "vol1", 41001, &windows), record));
+  sim::spawn(sim::then(
+      attach_with_redirect(cloud_, vm2, "vol2", 41002, &windows), record));
   sim_.run();
-  EXPECT_EQ(completed, 2);
-  EXPECT_EQ(max_in_window, 1)
+  ASSERT_EQ(results.size(), 2u);
+  for (const Status& s : results) EXPECT_TRUE(s.is_ok()) << s.to_string();
+  EXPECT_EQ(windows.rules_at_login, (std::vector<std::size_t>{1, 1}))
+      << "each login must see only its own redirect";
+  EXPECT_EQ(nat.rule_hits(), 2u) << "each login's SYN took its redirect";
+  EXPECT_EQ(nat.rule_count(), 0u) << "redirects must go after login";
+  EXPECT_EQ(nat.conntrack_size(), 2u)
+      << "established flows keep their translation";
+  EXPECT_EQ(cloud_.find_attachment("vm1", "vol1")->source_port, 41001);
+  EXPECT_EQ(cloud_.find_attachment("vm2", "vol2")->source_port, 41002);
+}
+
+TEST_F(CloudTest, AttachmentsOnOneHostSerialize) {
+  // The first attach keeps host 0's lock 10 ms past its login. A second
+  // stepwise attach and a plain attach_volume on the same host must both
+  // wait for it, in arrival order, and no two login windows may overlap.
+  Vm& vm1 = cloud_.create_vm("vm1", "tenant1", 0);
+  Vm& vm2 = cloud_.create_vm("vm2", "tenant1", 0);
+  Vm& vm3 = cloud_.create_vm("vm3", "tenant1", 0);
+  for (const char* name : {"vol1", "vol2", "vol3"}) {
+    ASSERT_TRUE(cloud_.create_volume(name, 1'000).is_ok());
+  }
+
+  LoginWindows windows;
+  sim::Time released = 0;
+  sim::Time second_done = 0;
+  sim::Time plain_done = 0;
+  sim::spawn(sim::then(attach_with_redirect(cloud_, vm1, "vol1", 41001,
+                                            &windows, sim::milliseconds(10)),
+                       [&](Status s) {
+                         EXPECT_TRUE(s.is_ok()) << s.to_string();
+                         released = sim_.now();
+                       }));
+  sim::spawn(sim::then(
+      attach_with_redirect(cloud_, vm2, "vol2", 41002, &windows),
+      [&](Status s) {
+        EXPECT_TRUE(s.is_ok()) << s.to_string();
+        second_done = sim_.now();
+      }));
+  cloud_.attach_volume(vm3, "vol3", [&](Status s, Attachment) {
+    EXPECT_TRUE(s.is_ok()) << s.to_string();
+    plain_done = sim_.now();
+  });
+  sim_.run();
+  EXPECT_EQ(windows.max_open, 1)
       << "two NAT windows must never overlap on one host (the mutex)";
+  EXPECT_GE(released, sim::milliseconds(10));
+  EXPECT_GT(second_done, released) << "second attach ran under the lock";
+  EXPECT_GT(plain_done, second_done) << "attach_volume skipped the queue";
+  EXPECT_EQ(cloud_.attachments().size(), 3u);
 }
 
 TEST_F(CloudTest, DoubleAttachRejected) {

@@ -321,7 +321,15 @@ TEST_F(StormTest, PassiveRelayTransformsInPlace) {
   Bytes unxored = on_disk;
   for (auto& byte : unxored) byte ^= 0x5A;
   EXPECT_EQ(unxored, data);
-  EXPECT_GT(dep.passive_relay(0)->pdus_processed(), 0u);
+  PassiveRelay& relay = *dep.passive_relay(0);
+  EXPECT_GT(relay.pdus_processed(), 0u);
+  // The exported counters track the relay's own tallies.
+  const std::string prefix = "relay." + dep.mb_vm(0)->name() + ".";
+  obs::Registry& telemetry = sim_.telemetry();
+  EXPECT_EQ(telemetry.counter(prefix + "pdus_processed").value(),
+            relay.pdus_processed());
+  EXPECT_EQ(telemetry.counter(prefix + "packets_hooked").value(),
+            relay.packets_hooked());
 }
 
 TEST_F(StormTest, ActiveRelayTransformsInPlace) {
@@ -425,6 +433,63 @@ TEST_F(StormTest, SecondVolumeAttachUnaffectedByFirst) {
   EXPECT_TRUE(ok);
   EXPECT_EQ(dep.active_relay(0)->pdus_relayed(), mb_packets_before)
       << "vol2 traffic must not traverse vol1's middle-box";
+}
+
+TEST_F(StormTest, LegacyAttachQueuedBehindStormAttachGoesDirect) {
+  // A plain attach issued while a StorM attach holds host 0's attach lock
+  // (its redirect in, its login in flight) waits for the lock, then logs
+  // in straight to the target: none of its traffic enters the box.
+  cloud_.create_vm("vm1", "alice", 0);
+  cloud::Vm& legacy_vm = cloud_.create_vm("vm2", "alice", 0);
+  ASSERT_TRUE(cloud_.create_volume("vol1", 10'000).is_ok());
+  ASSERT_TRUE(cloud_.create_volume("vol2", 10'000).is_ok());
+  ServiceSpec noop;
+  noop.type = "noop";
+  DeploymentHandle dep;
+  Status storm_status = error(ErrorCode::kIoError, "unset");
+  platform_.attach_with_chain("vm1", "vol1", {noop},
+                              [&](Result<DeploymentHandle> r) {
+                                storm_status = r.status();
+                                if (r.is_ok()) dep = r.value();
+                              });
+  net::NatEngine& host_nat = cloud_.compute(0).node().nat();
+  ASSERT_EQ(host_nat.rule_count(), 1u) << "StorM login window not open";
+  Status status = error(ErrorCode::kIoError, "unset");
+  cloud::Attachment legacy;
+  cloud_.attach_volume(legacy_vm, "vol2", [&](Status s, cloud::Attachment a) {
+    status = s;
+    legacy = std::move(a);
+  });
+  sim_.run();
+  ASSERT_TRUE(storm_status.is_ok()) << storm_status.to_string();
+  ASSERT_TRUE(status.is_ok()) << status.to_string();
+  EXPECT_EQ(host_nat.rule_count(), 0u);
+
+  ActiveRelay& relay = *dep.active_relay(0);
+  const std::uint64_t relayed = relay.pdus_relayed();
+  Bytes data = testutil::pattern_bytes(4 * block::kSectorSize);
+  EXPECT_EQ(write_read_roundtrip(legacy_vm, 0, data), data);
+  EXPECT_EQ(relay.pdus_relayed(), relayed)
+      << "vol2 traffic must not traverse vol1's middle-box";
+  EXPECT_EQ(relay.session_count(), 1u);
+
+  // The target sees the plain session from the host's own storage NIC
+  // and the spliced one from the tenant's egress gateway.
+  const auto& gateways = platform_.splicer().tenant_gateways("alice");
+  int direct = 0;
+  int spliced = 0;
+  for (const auto& session : cloud_.storage(0).target().sessions()) {
+    if (session.iqn == legacy.iqn) {
+      EXPECT_EQ(session.tuple.dst.ip, cloud_.compute(0).storage_ip());
+      EXPECT_EQ(session.tuple.dst.port, legacy.source_port);
+      ++direct;
+    } else {
+      EXPECT_EQ(session.tuple.dst.ip, gateways.egress_storage_ip());
+      ++spliced;
+    }
+  }
+  EXPECT_EQ(direct, 1);
+  EXPECT_EQ(spliced, 1);
 }
 
 TEST_F(StormTest, AttributionAnswersBothDirections) {

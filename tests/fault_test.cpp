@@ -368,6 +368,110 @@ TEST_F(PlatformFaultTest, FailedAttachRollsBackAllRulesAndFlows) {
   EXPECT_TRUE(ok);
 }
 
+TEST_F(PlatformFaultTest, EveryEarlyExitRollsBack) {
+  // Each way an attach can fail before it completes must leave no
+  // deployment, no replica-set assignment, no cookie-tagged rule and no
+  // open deploy span behind.
+  cloud_.create_vm("vm", "t", 0);
+  ASSERT_TRUE(cloud_.create_volume("vol", 20'000).is_ok());
+  core::ServiceSpec pooled;
+  pooled.type = "noop";
+  pooled.relay = core::RelayMode::kActive;
+  pooled.replicas.enabled = true;
+  pooled.replicas.count = 2;
+  pooled.replicas.min_count = 1;
+  pooled.replicas.max_count = 4;
+  core::ServiceSpec ghost;
+  ghost.type = "ghost";
+  core::ServiceSpec noop;
+  noop.type = "noop";
+  struct Case {
+    const char* name;
+    const char* vm;
+    const char* volume;
+    std::vector<core::ServiceSpec> chain;
+    bool storage_down;
+    ErrorCode expected;
+  };
+  const std::vector<Case> cases = {
+      {"unknown VM", "ghost-vm", "vol", {noop}, false, ErrorCode::kNotFound},
+      {"unknown volume", "vm", "ghost-vol", {noop}, false,
+       ErrorCode::kNotFound},
+      {"pooled hop then unknown type", "vm", "vol", {pooled, ghost}, false,
+       ErrorCode::kNotFound},
+      {"login failure", "vm", "vol", {noop}, true,
+       ErrorCode::kConnectionFailed},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    cloud_.storage(0).node().set_down(c.storage_down);
+    Status status = Status::ok();
+    platform_.attach_with_chain(
+        c.vm, c.volume, c.chain,
+        [&](Result<core::DeploymentHandle> r) { status = r.status(); });
+    sim_.run();
+    EXPECT_EQ(status.code(), c.expected) << status.to_string();
+    EXPECT_FALSE(platform_.find_deployment(c.vm, c.volume).valid());
+    EXPECT_FALSE(cloud_.find_attachment(c.vm, c.volume).has_value());
+    for (std::uint64_t cookie = 1; cookie <= 4; ++cookie) {
+      EXPECT_EQ(rules_with_cookie(cookie), 0u) << "cookie " << cookie;
+    }
+    if (const core::ReplicaSet* set = platform_.replica_set("t", "noop")) {
+      EXPECT_TRUE(set->assignments.empty());
+    }
+    for (const obs::Span& span : sim_.telemetry().tracer().spans()) {
+      if (span.name.starts_with("deploy.")) {
+        EXPECT_TRUE(span.ended) << span.name;
+      }
+    }
+  }
+  // The last two cases got as far as opening their deploy span.
+  std::size_t deploy_spans = 0;
+  for (const obs::Span& span : sim_.telemetry().tracer().spans()) {
+    deploy_spans += span.name.starts_with("deploy.") ? 1 : 0;
+  }
+  EXPECT_EQ(deploy_spans, 2u);
+  cloud_.storage(0).node().set_down(false);
+}
+
+TEST_F(PlatformFaultTest, AttachQueuedBehindAFailedOneCompletes) {
+  // The first attach fails its login while the second waits on the same
+  // host's attach lock: the failure path must release the lock.
+  cloud_.create_vm("vm1", "t", 0);
+  cloud_.create_vm("vm2", "t", 0);
+  ASSERT_TRUE(cloud_.create_volume("vol1", 20'000).is_ok());
+  ASSERT_TRUE(cloud_.create_volume("vol2", 20'000).is_ok());
+  cloud_.storage(0).node().set_down(true);
+
+  core::ServiceSpec spec;
+  spec.type = "noop";
+  spec.relay = core::RelayMode::kActive;
+  Status first = Status::ok();
+  platform_.attach_with_chain(
+      "vm1", "vol1", {spec}, [&](Result<core::DeploymentHandle> r) {
+        first = r.status();
+        cloud_.storage(0).node().set_down(false);  // before the lock moves
+      });
+  Status second = error(ErrorCode::kIoError, "unset");
+  core::DeploymentHandle dep;
+  platform_.attach_with_chain("vm2", "vol2", {spec},
+                              [&](Result<core::DeploymentHandle> r) {
+                                second = r.status();
+                                if (r.is_ok()) dep = r.value();
+                              });
+  sim_.run();
+  EXPECT_FALSE(first.is_ok());
+  EXPECT_EQ(rules_with_cookie(1), 0u);
+  ASSERT_TRUE(second.is_ok()) << second.to_string();
+  ASSERT_TRUE(dep.valid());
+
+  bool ok = false;
+  cloud_.find_vm("vm2")->disk()->write(0, Bytes(block::kSectorSize, 0xAB),
+                                       [&](Status s) { ok = s.is_ok(); });
+  sim_.run();
+  EXPECT_TRUE(ok);
+}
+
 TEST_F(PlatformFaultTest, CrashAndRestartReplaysJournal) {
   cloud::Vm& vm = cloud_.create_vm("vm", "t", 0);
   ASSERT_TRUE(cloud_.create_volume("vol", 40'000).is_ok());

@@ -1055,5 +1055,118 @@ TEST(Task, BarrierRunsInlineOnOnePartition) {
   EXPECT_TRUE(passed);
 }
 
+// --- sim::Mutex ----------------------------------------------------------
+
+// Take `mutex`, note `id` and the time, keep the lock for `hold`, then
+// post a follow-up event before releasing it.
+Task<void> hold_lock(Simulator& sim, Mutex& mutex, int id, Duration hold,
+                     std::vector<std::string>* log) {
+  Mutex::Guard guard = co_await mutex.lock();
+  log->push_back("take " + std::to_string(id) + "@" +
+                 std::to_string(sim.now()));
+  Executor ex = sim.executor();
+  co_await sleep(ex, hold);
+  log->push_back("leave " + std::to_string(id));
+  ex.schedule_in(0, [log, id] {
+    log->push_back("after " + std::to_string(id));
+  });
+}
+
+TEST(Task, MutexUncontendedLockIsTakenInline) {
+  Simulator sim;
+  Mutex mutex(sim);
+  std::vector<std::string> log;
+  spawn(hold_lock(sim, mutex, 1, 10, &log));
+  EXPECT_EQ(log, (std::vector<std::string>{"take 1@0"}));
+  EXPECT_EQ(sim.pending(), 1u) << "only the holder's sleep is queued";
+  sim.run();
+  EXPECT_EQ(sim.now(), 10u);
+}
+
+TEST(Task, MutexWaitersAcquireInFifoOrderAfterRelease) {
+  // On one partition each waiter takes over at the tick its predecessor
+  // let go, in a fresh event after the ones the releasing event posted.
+  Simulator sim;
+  Mutex mutex(sim);
+  std::vector<std::string> log;
+  for (int id = 1; id <= 3; ++id) spawn(hold_lock(sim, mutex, id, 5, &log));
+  EXPECT_EQ(log, (std::vector<std::string>{"take 1@0"}));
+  sim.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"take 1@0", "leave 1", "after 1",
+                                           "take 2@5", "leave 2", "after 2",
+                                           "take 3@10", "leave 3",
+                                           "after 3"}));
+}
+
+// Take `mutex`, then record whether this ran in a partition window and
+// when.
+Task<void> lock_and_note(Mutex& mutex, Simulator& sim, bool* in_partition,
+                         Time* at) {
+  Mutex::Guard guard = co_await mutex.lock();
+  *in_partition = Simulator::in_partition_context();
+  *at = sim.now();
+}
+
+Task<void> hold_in_partition(Mutex& mutex, Executor ex, bool* in_partition) {
+  Mutex::Guard guard = co_await mutex.lock();
+  co_await sleep(ex, microseconds(3));
+  *in_partition = Simulator::in_partition_context();
+}
+
+TEST(Task, MutexHandsOffAtTheBarrierOnSeveralPartitions) {
+  // Released inside partition 1's window: the waiter takes over at the
+  // window barrier, not from the releasing event.
+  ParallelConfig config;
+  config.partitions = 2;
+  config.lookahead = microseconds(10);
+  Simulator sim(config);
+  Mutex mutex(sim);
+  bool holder_in_partition = false;
+  bool waiter_in_partition = true;
+  Time waiter_took = 0;
+  spawn(hold_in_partition(mutex, sim.executor(1), &holder_in_partition));
+  spawn(lock_and_note(mutex, sim, &waiter_in_partition, &waiter_took));
+  sim.run();
+  EXPECT_TRUE(holder_in_partition);
+  EXPECT_FALSE(waiter_in_partition);
+  EXPECT_GE(waiter_took, microseconds(3));
+
+  // The waiter's Guard released the lock at the barrier: free again.
+  bool third_in_partition = true;
+  Time third_took = 1;
+  spawn(lock_and_note(mutex, sim, &third_in_partition, &third_took));
+  EXPECT_EQ(third_took, sim.now()) << "taken inline";
+}
+
+Task<void> lock_forever(Mutex& mutex, int* destroyed, bool* resumed) {
+  Tracer tracer{destroyed};
+  Mutex::Guard guard = co_await mutex.lock();
+  *resumed = true;
+}
+
+Task<void> hold_forever(Executor ex, Mutex& mutex, int* destroyed) {
+  Tracer tracer{destroyed};
+  Mutex::Guard guard = co_await mutex.lock();
+  co_await sleep(ex, seconds(100));
+}
+
+TEST(Task, MutexWaiterStillQueuedAtTeardownIsFreed) {
+  // The holder sleeps past the end of the run and a waiter queues behind
+  // it. Tearing down frees both chains: the Mutex destroys its waiter,
+  // the Simulator the holder (whose Guard then has nothing to release).
+  int destroyed = 0;
+  bool resumed = false;
+  {
+    Simulator sim;
+    Mutex mutex(sim);
+    spawn(hold_forever(sim, mutex, &destroyed));
+    spawn(lock_forever(mutex, &destroyed, &resumed));
+    sim.run_until(seconds(1));
+    EXPECT_EQ(destroyed, 0);
+  }
+  EXPECT_FALSE(resumed);
+  EXPECT_EQ(destroyed, 2);
+}
+
 }  // namespace
 }  // namespace storm::sim
