@@ -1,8 +1,9 @@
 #include "common/hash.hpp"
 
 #include <array>
-#include <atomic>
 #include <cstddef>
+
+#include "common/cpu.hpp"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define STORM_CRC32_CLMUL 1
@@ -140,24 +141,6 @@ STORM_CLMUL_TARGET std::uint32_t crc_fold(std::uint32_t c,
   return static_cast<std::uint32_t>(_mm_extract_epi32(x1, 1));
 }
 
-// Kernel choice, made once per process on first use: 0 = not yet probed,
-// 1 = portable only, 2 = PCLMULQDQ available. Constant-initialised, so a
-// CRC taken during another translation unit's static initialisation is
-// still correct; concurrent first calls race benignly to the same value.
-std::atomic<int> g_clmul_state{0};
-
-bool have_clmul() {
-  int s = g_clmul_state.load(std::memory_order_relaxed);
-  if (s == 0) {
-    __builtin_cpu_init();
-    s = (__builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse4.1"))
-            ? 2
-            : 1;
-    g_clmul_state.store(s, std::memory_order_relaxed);
-  }
-  return s == 2;
-}
-
 #undef STORM_CLMUL_TARGET
 #endif  // STORM_CRC32_CLMUL
 
@@ -167,7 +150,7 @@ void Crc32::update(std::span<const std::uint8_t> data) {
   const std::uint8_t* p = data.data();
   std::size_t n = data.size();
 #ifdef STORM_CRC32_CLMUL
-  if (n >= 64 && have_clmul()) {
+  if (n >= 64 && cpu::has(cpu::kClmul)) {
     std::size_t bulk = n & ~std::size_t{15};
     c_ = crc_fold(c_, p, bulk);
     p += bulk;

@@ -1,20 +1,10 @@
 #include "services/encrypted_disk.hpp"
 
-#include <stdexcept>
-
 namespace storm::services {
 
 EncryptedDisk::EncryptedDisk(block::BlockDevice& inner, sim::Cpu& cpu,
                              Bytes key, EncryptedDiskConfig config)
-    : inner_(inner), cpu_(cpu), config_(config) {
-  if (key.size() != 32 && key.size() != 64) {
-    throw std::invalid_argument("EncryptedDisk: key must be 32 or 64 bytes");
-  }
-  std::size_t half = key.size() / 2;
-  xts_ = std::make_unique<crypto::AesXts>(
-      std::span<const std::uint8_t>(key.data(), half),
-      std::span<const std::uint8_t>(key.data() + half, half));
-}
+    : inner_(inner), cpu_(cpu), xts_(key), config_(config) {}
 
 void EncryptedDisk::write(std::uint64_t lba, Bytes data, WriteCallback done) {
   if (data.size() % block::kSectorSize != 0) {
@@ -46,10 +36,7 @@ sim::Task<void> EncryptedDisk::encrypt_and_write(std::uint64_t lba, Bytes data,
   // Encrypt on the VM's CPU first (the submitting thread blocks on this,
   // dm-crypt style), then push ciphertext down.
   co_await cipher_work(data.size());
-  for (std::size_t off = 0; off < data.size(); off += block::kSectorSize) {
-    std::span<std::uint8_t> sector(data.data() + off, block::kSectorSize);
-    xts_->encrypt_sector(lba + off / block::kSectorSize, sector, sector);
-  }
+  xts_.encrypt_sectors(lba, data);
   inner_.write(lba, std::move(data), std::move(done));
 }
 
@@ -63,10 +50,7 @@ sim::Task<void> EncryptedDisk::read_and_decrypt(std::uint64_t lba,
   }
   ciphered_ += data.size();
   co_await cipher_work(data.size());
-  for (std::size_t off = 0; off < data.size(); off += block::kSectorSize) {
-    std::span<std::uint8_t> sector(data.data() + off, block::kSectorSize);
-    xts_->decrypt_sector(lba + off / block::kSectorSize, sector, sector);
-  }
+  xts_.decrypt_sectors(lba, data);
   done(Status::ok(), std::move(data));
 }
 

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "block/block_device.hpp"
 #include "crypto/aes.hpp"
@@ -55,7 +54,7 @@ class EncryptedDisk : public block::BlockDevice {
 
   block::BlockDevice& inner_;
   sim::Cpu& cpu_;
-  std::unique_ptr<crypto::AesXts> xts_;
+  crypto::AesXts xts_;
   EncryptedDiskConfig config_;
   std::uint64_t ciphered_ = 0;
 };

@@ -6,12 +6,10 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
-#include "core/service.hpp"
 #include "crypto/aes.hpp"
-#include "services/write_tracker.hpp"
+#include "services/cipher_service.hpp"
 
 namespace storm::services {
 
@@ -22,17 +20,13 @@ struct EncryptionConfig {
   sim::Duration per_io = sim::microseconds(1);
 };
 
-class EncryptionService : public core::StorageService {
+class EncryptionService : public CipherService {
  public:
   /// `key` is 32 or 64 bytes (split into data/tweak halves; 64 bytes
   /// gives AES-256-XTS as in the paper).
   EncryptionService(Bytes key, EncryptionConfig config = {});
 
   std::string name() const override { return "encryption"; }
-  // Bypassing the cipher would put plaintext on the storage network.
-  bool confidentiality_critical() const override { return true; }
-  core::ServiceVerdict on_pdu(core::ServiceContext& ctx, core::Direction dir,
-                              iscsi::Pdu& pdu) override;
   // A new host means a new scope: drop the cached counters.
   void bind_host(const core::ServiceHost& /*host*/) override {
     encrypted_counter_.reset();
@@ -42,16 +36,20 @@ class EncryptionService : public core::StorageService {
   std::uint64_t bytes_encrypted() const { return encrypted_; }
   std::uint64_t bytes_decrypted() const { return decrypted_; }
 
- private:
-  void crypt(bool encrypt, std::uint64_t first_sector,
-             std::span<std::uint8_t> data);
+ protected:
+  void crypt(core::ServiceContext& ctx, core::Direction dir,
+             std::uint64_t byte_position,
+             std::span<std::uint8_t> data) override;
+  /// Data-Out continues an I/O whose command already paid `per_io`.
+  sim::Duration cost(iscsi::Opcode op, std::size_t bytes) const override {
+    return (op == iscsi::Opcode::kDataOut ? 0 : config_.per_io) +
+           static_cast<sim::Duration>(config_.ns_per_byte *
+                                      static_cast<double>(bytes));
+  }
 
-  std::unique_ptr<crypto::AesXts> xts_;
+ private:
+  crypto::AesXts xts_;
   EncryptionConfig config_;
-  IoTracker tracker_;
-  /// In-flight write bursts: task tag -> starting LBA (Data-Out PDUs only
-  /// carry byte offsets).
-  std::map<std::uint32_t, std::uint64_t> write_lbas_;
   std::uint64_t encrypted_ = 0;
   std::uint64_t decrypted_ = 0;
   // In the hosting relay's scope.

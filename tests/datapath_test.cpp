@@ -10,10 +10,12 @@
 #include "common/buf.hpp"
 #include "core/active_relay.hpp"
 #include "core/service.hpp"
+#include "crypto/chacha20.hpp"
 #include "journal/log.hpp"
 #include "iscsi/pdu.hpp"
 #include "net/flow_switch.hpp"
 #include "obs/registry.hpp"
+#include "services/encryption.hpp"
 #include "services/stream_cipher.hpp"
 #include "sim/fault.hpp"
 #include "testutil.hpp"
@@ -166,6 +168,78 @@ TEST(CowAliasing, CipherRewriteNeverReachesTheJournalReference) {
                                     journaled.size() - 4));
   ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
   EXPECT_EQ(parsed.value().data.to_bytes(), plaintext);
+}
+
+// --- Cipher boxes ---------------------------------------------------------
+
+TEST(StreamCipher, KeystreamDoesNotRepeatAcross256GiB) {
+  // The keystream is keyed to the volume byte position with a 64-bit
+  // block counter. Below 2^38 bytes it is RFC 8439's stream under the zero
+  // nonce; equal plaintext 2^38 bytes (256 GiB) further on must still
+  // encrypt differently.
+  sim::Simulator sim;
+  StubContext ctx(sim);
+  services::StreamCipherService cipher;
+  const Bytes plaintext = testutil::pattern_bytes(4096);
+  auto encrypt_at = [&](std::uint64_t lba) {
+    iscsi::Pdu pdu = iscsi::make_write_command(1, lba, 4096);
+    pdu.data = Buf(Bytes(plaintext));
+    pdu.flags |= iscsi::kFlagFinal;
+    cipher.on_pdu(ctx, core::Direction::kToTarget, pdu);
+    return pdu.data.to_bytes();
+  };
+  const std::uint64_t lba = 4096;
+  const Bytes low = encrypt_at(lba);
+  Bytes want = plaintext;
+  crypto::ChaCha20(Bytes(32, 0x42), Bytes(12, 0))
+      .xor_keystream(lba * 512 / 64, 0, want);
+  EXPECT_EQ(low, want);
+  EXPECT_NE(encrypt_at(lba + (1ull << 38) / 512), low);
+}
+
+TEST(CipherService, BothBoxesRouteEveryLegAndKeepTheirCosts) {
+  // A write burst (immediate data plus a Data-Out tail) and a read of the
+  // stored ciphertext through each box: the read returns the plaintext,
+  // and each PDU is charged the box's own cost model.
+  sim::Simulator sim;
+  StubContext ctx(sim);
+  services::EncryptionService aes(Bytes(64, 0x24));
+  services::StreamCipherService chacha;
+  struct Case {
+    services::CipherService* box;
+    sim::Duration command, data_out, data_in;
+  };
+  // AES: per_io 1 us + 4 ns/B, no per_io on Data-Out. ChaCha: 0.75 ns/B.
+  const Case cases[] = {{&aes, 1000 + 4 * 1024, 4 * 2048, 1000 + 4 * 3072},
+                        {&chacha, 768, 1536, 2304}};
+  const Bytes plaintext = testutil::pattern_bytes(3072, 9);
+  const std::span<const std::uint8_t> all(plaintext);
+  for (const Case& c : cases) {
+    iscsi::Pdu command = iscsi::make_write_command(5, 700, 3072);
+    command.data = Buf(Bytes(all.begin(), all.begin() + 1024));
+    auto verdict = c.box->on_pdu(ctx, core::Direction::kToTarget, command);
+    EXPECT_EQ(verdict.cpu_cost, c.command);
+    iscsi::Pdu tail =
+        iscsi::make_data_out(5, 1024, Buf(Bytes(all.begin() + 1024, all.end())),
+                             true);
+    verdict = c.box->on_pdu(ctx, core::Direction::kToTarget, tail);
+    EXPECT_EQ(verdict.cpu_cost, c.data_out);
+    Bytes stored = command.data.to_bytes();
+    tail.data.append_to(stored);
+    EXPECT_NE(stored, plaintext);
+
+    iscsi::Pdu read = iscsi::make_read_command(6, 700, 3072);
+    c.box->on_pdu(ctx, core::Direction::kToTarget, read);
+    iscsi::Pdu data_in = iscsi::make_data_in(6, 0, Buf(std::move(stored)), true);
+    verdict = c.box->on_pdu(ctx, core::Direction::kToInitiator, data_in);
+    EXPECT_EQ(verdict.cpu_cost, c.data_in);
+    EXPECT_EQ(data_in.data.to_bytes(), plaintext);
+    iscsi::Pdu response = iscsi::make_scsi_response(6, 0);
+    c.box->on_pdu(ctx, core::Direction::kToInitiator, response);
+  }
+  EXPECT_EQ(aes.bytes_encrypted(), 3072u);
+  EXPECT_EQ(aes.bytes_decrypted(), 3072u);
+  EXPECT_EQ(chacha.bytes_processed(), 2u * 3072);
 }
 
 // --- FlowSwitch exact-match fast path ---------------------------------------
